@@ -93,9 +93,24 @@ inline std::optional<std::uint64_t> parse_checkpoint_name(
   return epoch;
 }
 
+/// Byte size of a run frame's fixed fields: kind, shard, weight, nrows,
+/// ncols, nnz.
+inline constexpr std::uint64_t kRunFrameFixedBytes = 4 + 4 + 4 * 8;
+
+/// Byte size of a run frame's CSR arrays: row pointers and columns as
+/// i64, then the raw values.
+template <typename V>
+constexpr std::uint64_t run_arrays_bytes(std::uint64_t nrows,
+                                         std::uint64_t nnz) {
+  return (nrows + 1 + nnz) * 8 + nnz * sizeof(V);
+}
+
 /// Write `checkpoint-<epoch>.ckpt` atomically (tmp + fsync + rename +
 /// dir fsync). `shards[s]` is shard s's oldest-first run list; run CSRs
-/// are read but not retained. Throws util::IoError / FailpointError on
+/// are read but not retained; each run frame is streamed
+/// (util::write_frame_streamed), so memory stays bounded by one
+/// kFrameChunkBytes chunk whatever the run size. Throws util::IoError
+/// (including for a run too large for one frame) / FailpointError on
 /// failure, after deleting the temp file.
 template <typename V>
 std::string write_checkpoint(
@@ -128,20 +143,26 @@ std::string write_checkpoint(
     for (std::size_t s = 0; s < shards.size(); ++s) {
       for (const CheckpointRun<V>& run : shards[s]) {
         const sparse::Csr<V>& csr = *run.csr;
-        util::ByteWriter w;
-        w.u32(kFrameCheckpointRun);
-        w.u32(static_cast<std::uint32_t>(s));
-        w.u64(run.weight);
-        w.u64(static_cast<std::uint64_t>(csr.nrows()));
-        w.u64(static_cast<std::uint64_t>(csr.ncols()));
-        w.u64(static_cast<std::uint64_t>(csr.nnz()));
-        for (const index_t v : csr.row_ptr()) w.i64(v);
-        for (const index_t v : csr.cols()) w.i64(v);
-        // Values ride as raw bit patterns; the manifest's algebra tag
-        // pins sizeof(V), so a mismatched instantiation can't misread
-        // them.
-        w.bytes(csr.vals().data(), csr.vals().size() * sizeof(V));
-        util::write_frame(f, w.buffer());
+        const auto nrows = static_cast<std::uint64_t>(csr.nrows());
+        const auto nnz = static_cast<std::uint64_t>(csr.nnz());
+        // Streamed: the frame costs one fixed chunk of memory, not a
+        // copy of the run.
+        util::write_frame_streamed(
+            f, kRunFrameFixedBytes + run_arrays_bytes<V>(nrows, nnz),
+            [&](util::ChunkEncoder& w) {
+              w.u32(kFrameCheckpointRun);
+              w.u32(static_cast<std::uint32_t>(s));
+              w.u64(run.weight);
+              w.u64(nrows);
+              w.u64(static_cast<std::uint64_t>(csr.ncols()));
+              w.u64(nnz);
+              for (const index_t v : csr.row_ptr()) w.i64(v);
+              for (const index_t v : csr.cols()) w.i64(v);
+              // Values ride as raw bit patterns; the manifest's algebra
+              // tag pins sizeof(V), so a mismatched instantiation can't
+              // misread them.
+              w.bytes(csr.vals().data(), csr.vals().size() * sizeof(V));
+            });
       }
     }
     f.sync();
@@ -216,9 +237,7 @@ LoadedCheckpoint<V> parse_checkpoint(const std::string& path,
         throw corrupt("run dimensions disagree with manifest");
       }
       if (nnz > rr.remaining() / 8) throw corrupt("run nnz too large");
-      const std::uint64_t want =
-          (nrows + 1 + nnz) * 8 + nnz * sizeof(V);
-      if (rr.remaining() != want) {
+      if (rr.remaining() != run_arrays_bytes<V>(nrows, nnz)) {
         throw corrupt("run frame size does not match its counts");
       }
       std::vector<index_t> row_ptr;

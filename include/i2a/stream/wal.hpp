@@ -118,6 +118,11 @@ inline constexpr std::uint32_t kFrameCheckpointHeader = 3;
 inline constexpr std::uint32_t kFrameCheckpointRun = 4;
 inline constexpr std::uint32_t kWalFormatVersion = 1;
 
+/// Bound on a segment header frame's payload: four fixed words plus the
+/// manifest, whose algebra tag is a short name. `Wal::list_segments`
+/// reads no more than this (plus the frame header) of any segment.
+inline constexpr std::size_t kMaxSegmentHeaderBytes = 4096;
+
 inline void encode_manifest(util::ByteWriter& w, const WalManifest& m) {
   w.str(m.algebra);
   w.u64(m.num_vertices);
@@ -274,9 +279,11 @@ class Wal {
     bool header_ok = false;         ///< header frame parsed and CRC-valid
   };
 
-  /// Discover segments in `dir`, sorted by seqno. Reads only each
-  /// file's header frame; a segment whose header is unreadable gets
-  /// start_epoch from the scan (the replay pass classifies it properly).
+  /// Discover segments in `dir`, sorted by seqno. Reads only the first
+  /// kFrameHeaderBytes + kMaxSegmentHeaderBytes of each file, so memory
+  /// stays bounded however large the segments grow. A segment whose
+  /// header frame does not decode within that prefix gets header_ok =
+  /// false and start_epoch 0 (the replay pass classifies it properly).
   static std::vector<SegmentInfo> list_segments(const std::string& dir) {
     std::vector<SegmentInfo> out;
     for (const std::string& name : util::list_dir(dir)) {
@@ -290,7 +297,8 @@ class Wal {
     // list_dir sorts lexically and the names zero-pad seqno, so `out`
     // is already seqno-sorted; fill in header epochs where readable.
     for (SegmentInfo& info : out) {
-      const std::vector<unsigned char> image = util::read_file(info.path);
+      const std::vector<unsigned char> image = util::read_prefix(
+          info.path, util::kFrameHeaderBytes + kMaxSegmentHeaderBytes);
       util::FrameReader reader(image);
       std::vector<unsigned char> payload;
       if (reader.next(payload) == util::FrameStatus::kOk) {
@@ -315,13 +323,19 @@ class Wal {
     if (util::file_exists(path)) {
       throw util::IoError("wal segment already exists: " + path);
     }
-    file_ = util::File::create_append(path);
     util::ByteWriter w;
     w.u32(kFrameSegmentHeader);
     w.u32(kWalFormatVersion);
     w.u64(seqno_);
     w.u64(start_epoch);
     encode_manifest(w, manifest_);
+    // list_segments reads no further; a longer header would hide the
+    // segment's start epoch from retirement.
+    if (w.buffer().size() > kMaxSegmentHeaderBytes) {
+      throw std::invalid_argument("wal: manifest " + manifest_.describe() +
+                                  " exceeds the segment header bound");
+    }
+    file_ = util::File::create_append(path);
     util::write_frame(file_, w.buffer());
     // The header must be durable before any batch frame can be: a
     // segment whose header never reached disk would orphan the batches

@@ -9,13 +9,16 @@
 //
 //   [u32 len][u32 crc32c(payload)][payload: len bytes]
 //
-// both header words little-endian. The header and the payload are
-// written as two *separate* write(2) calls on purpose: a SIGKILL (or
-// power cut) between them leaves a torn tail that FrameReader must
-// classify, so the recovery path is exercised by real kill schedules,
-// not only by synthetic truncation. write_fully() below is the single
-// place a raw write(2) may appear — everything else goes through the
-// frame writer (enforced by the `durable-write-checksummed` lint rule).
+// both header words little-endian. The header goes out in its own
+// write(2), before any payload byte, on purpose: a SIGKILL (or power
+// cut) after it leaves a torn tail that FrameReader must classify, so
+// the recovery path is exercised by real kill schedules, not only by
+// synthetic truncation. The payload follows in one write (write_frame)
+// or one write per fixed-size chunk (write_frame_streamed, for
+// checkpoint runs of any size); either way the torn window is the same.
+// write_fully() below is the single place a raw write(2) may appear —
+// everything else goes through the frame writers (enforced by the
+// `durable-write-checksummed` lint rule).
 //
 // Portability: POSIX-only (open/write/fsync/ftruncate/rename + parent
 // directory fsync), which is what CI runs. Multi-byte integers are
@@ -35,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -92,33 +96,47 @@ inline std::uint32_t crc32c(const void* data, std::size_t len,
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-width little-endian payload encoding.
+// Fixed-width little-endian payload encoding. LeEncoder supplies the field
+// encoders on top of its sink's `bytes(data, len)`: ByteWriter collects a
+// whole payload in memory (small frames: segment and checkpoint headers,
+// WAL batches); ChunkEncoder below feeds one fixed-size chunk at a time
+// to the streamed frame writer.
 
-class ByteWriter {
+template <typename Sink>
+class LeEncoder {
  public:
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xFFU));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xFFU));
-    }
-  }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  // Length-prefixed string: u32 byte count, then the bytes.
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    sink().bytes(s.data(), s.size());
+  }
+
+ private:
+  LeEncoder() = default;
+  friend Sink;
+
+  template <typename U>
+  void put_le(U v) {
+    std::array<unsigned char, sizeof(U)> b;  // NOLINT(*-member-init)
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      b[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFFU);
+    }
+    sink().bytes(b.data(), b.size());
+  }
+  Sink& sink() { return static_cast<Sink&>(*this); }
+};
+
+class ByteWriter : public LeEncoder<ByteWriter> {
+ public:
   void bytes(const void* data, std::size_t len) {
     const auto* p = static_cast<const unsigned char*>(data);
     buf_.insert(buf_.end(), p, p + len);
   }
-  // Length-prefixed string: u32 byte count, then the bytes.
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes(s.data(), s.size());
-  }
   const std::vector<unsigned char>& buffer() const { return buf_; }
-  std::vector<unsigned char> take() { return std::move(buf_); }
 
  private:
   std::vector<unsigned char> buf_;
@@ -165,6 +183,7 @@ class ByteReader {
   }
   void raw(void* out, std::size_t len) {
     need(len);
+    if (len == 0) return;  // `out` may be null (an empty vector's data())
     std::memcpy(out, data_ + pos_, len);
     pos_ += len;
   }
@@ -219,6 +238,11 @@ class File {
     if (::lseek(fd, 0, SEEK_END) < 0) throw_errno("lseek", path);
     return f;
   }
+  static File open_read(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) throw_errno("open(read)", path);
+    return File(fd, path);
+  }
 
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
@@ -238,6 +262,24 @@ class File {
       }
       off += static_cast<std::size_t>(n);
     }
+  }
+
+  // Read until `len` bytes or end of file; returns the count read. Loops
+  // on short reads and EINTR.
+  std::size_t read_upto(void* out, std::size_t len) {
+    I2A_EXPECTS(is_open(), "io: file not open");
+    auto* p = static_cast<unsigned char*>(out);
+    std::size_t off = 0;
+    while (off < len) {
+      const ssize_t n = ::read(fd_, p + off, len - off);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw_errno("read", path_);
+      }
+      if (n == 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    return off;
   }
 
   void sync() {
@@ -340,23 +382,23 @@ inline bool file_exists(const std::string& path) {
 }
 
 inline std::vector<unsigned char> read_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw_errno("open(read)", path);
+  File f = File::open_read(path);
   std::vector<unsigned char> buf;
   std::array<unsigned char, 1 << 16> chunk;  // NOLINT(*-member-init)
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      throw_errno("read", path);
-    }
-    if (n == 0) break;
+  while (const std::size_t n = f.read_upto(chunk.data(), chunk.size())) {
     buf.insert(buf.end(), chunk.data(), chunk.data() + n);
   }
-  ::close(fd);
+  return buf;
+}
+
+// The first `max_bytes` of `path` (all of it if shorter): a bounded read
+// for callers that need only a file's leading frame, whatever the file's
+// size.
+inline std::vector<unsigned char> read_prefix(const std::string& path,
+                                              std::size_t max_bytes) {
+  File f = File::open_read(path);
+  std::vector<unsigned char> buf(max_bytes);
+  buf.resize(f.read_upto(buf.data(), buf.size()));
   return buf;
 }
 
@@ -366,35 +408,42 @@ inline std::vector<unsigned char> read_file(const std::string& path) {
 // Byte size of the [len][crc] frame header.
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
-// Upper bound on a single frame's payload. A torn header whose length
-// word decodes beyond this is classified as torn/corrupt instead of
-// attempting a giant allocation. Checkpoint run frames carry whole CSR
-// arrays, so the bound is generous.
-inline constexpr std::uint64_t kMaxFrameBytes = 1ULL << 32;
+// Largest payload a frame can carry: the length word is a u32. Checked on
+// every write, in every build type, before any byte of the frame is
+// written — a longer payload would otherwise be framed with a wrapped
+// length and read back as a different, CRC-invalid frame.
+inline constexpr std::uint64_t kMaxFrameBytes =
+    std::numeric_limits<std::uint32_t>::max();
 
+inline void require_frame_len(std::uint64_t len) {
+  if (len > kMaxFrameBytes) {
+    throw IoError("frame payload of " + std::to_string(len) +
+                  " bytes exceeds the u32 length word");
+  }
+}
+
+// The [len][crc] header for a payload of `len` bytes with checksum `crc`.
+// Throws IoError when `len` does not fit the length word.
 inline std::array<unsigned char, kFrameHeaderBytes> frame_header(
-    const std::vector<unsigned char>& payload) {
-  I2A_EXPECTS(payload.size() <= kMaxFrameBytes, "io: oversized frame");
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32c(payload.data(), payload.size());
+    std::uint64_t len, std::uint32_t crc) {
+  require_frame_len(len);
   std::array<unsigned char, kFrameHeaderBytes> h;  // NOLINT(*-member-init)
-  for (int i = 0; i < 4; ++i) {
-    h[static_cast<std::size_t>(i)] =
-        static_cast<unsigned char>((len >> (8 * i)) & 0xFFU);
-    h[static_cast<std::size_t>(i) + 4] =
-        static_cast<unsigned char>((crc >> (8 * i)) & 0xFFU);
+  for (std::size_t i = 0; i < 4; ++i) {
+    h[i] = static_cast<unsigned char>((len >> (8 * i)) & 0xFFU);
+    h[i + 4] = static_cast<unsigned char>((crc >> (8 * i)) & 0xFFU);
   }
   return h;
 }
 
-// Append one frame: header write, then payload write (two syscalls —
-// see file comment). `between` runs between the two, which is where the
-// WAL plants its `wal.append.write` failpoint to simulate a crash in
-// the torn window.
+// Append one in-memory frame: header write, then payload write (two
+// syscalls — see file comment). `between` runs between the two, which is
+// where the WAL plants its `wal.append.write` failpoint to simulate a
+// crash in the torn window.
 template <typename BetweenFn>
 void write_frame(File& f, const std::vector<unsigned char>& payload,
                  BetweenFn&& between) {
-  const auto h = frame_header(payload);
+  const auto h =
+      frame_header(payload.size(), crc32c(payload.data(), payload.size()));
   f.write_fully(h.data(), h.size());
   between();
   f.write_fully(payload.data(), payload.size());
@@ -402,6 +451,89 @@ void write_frame(File& f, const std::vector<unsigned char>& payload,
 
 inline void write_frame(File& f, const std::vector<unsigned char>& payload) {
   write_frame(f, payload, [] {});
+}
+
+// Payload chunk of the streamed frame writer: the memory a frame costs to
+// write, whatever its length.
+inline constexpr std::size_t kFrameChunkBytes = std::size_t{1} << 16;
+
+// The encoder write_frame_streamed hands its caller. Fields accumulate in
+// one fixed chunk; each full chunk is folded into a running CRC32C (the
+// checksum pass) or written to the file (the write pass).
+class ChunkEncoder : public LeEncoder<ChunkEncoder> {
+ public:
+  void bytes(const void* data, std::size_t len) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    while (len > 0) {
+      const std::size_t n = std::min(len, buf_.size() - fill_);
+      std::memcpy(buf_.data() + fill_, p, n);
+      fill_ += n;
+      p += n;
+      len -= n;
+      if (fill_ == buf_.size()) flush();
+    }
+  }
+
+ private:
+  template <typename EncodeFn>
+  friend void write_frame_streamed(File& f, std::uint64_t len,
+                                   const EncodeFn& encode);
+
+  // Start a pass: checksum only when `out` is null, else write to `out`.
+  void begin(File* out) {
+    out_ = out;
+    fill_ = 0;
+    total_ = 0;
+    crc_ = 0;
+  }
+  // Flush the last partial chunk; returns the bytes this pass encoded.
+  std::uint64_t end() {
+    flush();
+    return total_;
+  }
+  void flush() {
+    if (out_ != nullptr) {
+      out_->write_fully(buf_.data(), fill_);
+    } else {
+      crc_ = crc32c(buf_.data(), fill_, crc_);
+    }
+    total_ += fill_;
+    fill_ = 0;
+  }
+
+  std::array<unsigned char, kFrameChunkBytes> buf_;  // NOLINT(*-member-init)
+  std::size_t fill_ = 0;
+  std::uint64_t total_ = 0;
+  std::uint32_t crc_ = 0;
+  File* out_ = nullptr;
+};
+
+// Append one frame whose `len`-byte payload `encode(ChunkEncoder&)`
+// produces, in kFrameChunkBytes of memory however large the payload. The
+// caller states `len` up front (it is known from counts) and `encode`
+// runs twice: pass 1 checksums the encoded chunks, then the [len][crc]
+// header is written, then pass 2 re-encodes the same chunks and writes
+// them. The bytes on disk equal write_frame's for the same payload, and
+// the torn window (header on disk, payload not) is the same; the payload
+// merely takes one write per chunk. Throws IoError, before any byte is
+// written, if `len` exceeds kMaxFrameBytes or pass 1 encodes other than
+// `len` bytes.
+template <typename EncodeFn>
+void write_frame_streamed(File& f, std::uint64_t len, const EncodeFn& encode) {
+  require_frame_len(len);
+  const auto mismatch = [len](std::uint64_t got) {
+    return IoError("streamed frame encoded " + std::to_string(got) +
+                   " bytes, declared " + std::to_string(len));
+  };
+  ChunkEncoder enc;
+  enc.begin(nullptr);
+  encode(enc);
+  if (const std::uint64_t got = enc.end(); got != len) throw mismatch(got);
+  const auto h = frame_header(len, enc.crc_);
+  f.write_fully(h.data(), h.size());
+  enc.begin(&f);
+  encode(enc);
+  if (const std::uint64_t got = enc.end(); got != len) throw mismatch(got);
 }
 
 enum class FrameStatus {
@@ -432,7 +564,9 @@ class FrameReader {
                  data_[pos_ + static_cast<std::size_t>(i) + 4])
              << (8 * i);
     }
-    if (len > kMaxFrameBytes || len > size_ - pos_ - kFrameHeaderBytes) {
+    // A length running past the buffer is torn: a garbage length word
+    // never turns into a giant allocation.
+    if (len > size_ - pos_ - kFrameHeaderBytes) {
       return FrameStatus::kTorn;
     }
     const unsigned char* payload = data_ + pos_ + kFrameHeaderBytes;

@@ -2,8 +2,11 @@
 /// \brief Crash-safety suite for the durable streaming path (DESIGN.md
 ///        §12): frame/CRC mechanics, WAL replay, checkpoint round-trips,
 ///        manifest refusal, a corruption matrix (truncation + bit
-///        flips), a durable failpoint sweep, and seeded SIGKILL crash
-///        trials.
+///        flips), a durable failpoint sweep, seeded SIGKILL crash
+///        trials, and the write path's memory bounds (streamed
+///        checkpoint frames byte-identical to a buffered reference
+///        encoder; allocation caps on segment discovery and
+///        checkpoint writes).
 ///
 /// The binding contract under test: after ANY crash, `recover()` yields
 /// a builder whose adjacency is byte-identical to a serial rebuild of
@@ -28,11 +31,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +58,35 @@
 
 using namespace i2a;
 using i2a::test::csr_bitwise_equal;
+
+// ---------------------------------------------------------------------------
+// Counting global allocator, local to this executable: the allocation-
+// bound tests read the bytes requested through operator new across one
+// call. Allocation itself stays malloc/free.
+
+namespace {
+
+std::atomic<std::uint64_t> g_alloc_bytes{0};
+std::atomic<std::uint64_t> g_alloc_largest{0};
+
+void* counted_malloc(std::size_t size) {
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  std::uint64_t largest = g_alloc_largest.load(std::memory_order_relaxed);
+  while (size > largest && !g_alloc_largest.compare_exchange_weak(
+                               largest, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_malloc(size); }
+void* operator new[](std::size_t size) { return counted_malloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -271,6 +306,44 @@ void test_frame_reader_classification() {
     }
     CHECK(got < payloads.size());  // the damaged frame never decodes
   }
+}
+
+/// The length word is a u32: the largest length encodes as all ones, and
+/// one byte more is a typed IoError in every build type — raised before
+/// any byte of the frame reaches the file, so a failed checkpoint never
+/// replaces the good one. Exercised through the length-only paths, with
+/// no 4 GiB payload.
+void test_frame_length_cap() {
+  const auto h = util::frame_header(util::kMaxFrameBytes, 0x04030201U);
+  for (std::size_t i = 0; i < 4; ++i) {
+    CHECK_EQ(h[i], 0xFFU);
+    CHECK_EQ(h[i + 4], i + 1);
+  }
+  const auto throws_io = [](auto&& fn) {
+    try {
+      fn();
+    } catch (const util::IoError&) {
+      return true;
+    }
+    return false;
+  };
+  CHECK(throws_io([] { util::frame_header(util::kMaxFrameBytes + 1, 0); }));
+
+  TempDir td;
+  util::File f = util::File::create_append(td.path + "/frames.bin");
+  bool encoded = false;
+  CHECK(throws_io([&] {
+    util::write_frame_streamed(f, util::kMaxFrameBytes + 1,
+                               [&](util::ChunkEncoder&) { encoded = true; });
+  }));
+  CHECK(!encoded);
+  CHECK_EQ(f.size(), 0u);
+  // A declared length the encoder does not produce is refused before
+  // the header is written, too.
+  CHECK(throws_io([&] {
+    util::write_frame_streamed(f, 9, [](util::ChunkEncoder& w) { w.u64(1); });
+  }));
+  CHECK_EQ(f.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -681,6 +754,251 @@ void test_corruption_checkpoint_bitflips() {
 }
 
 // ---------------------------------------------------------------------------
+// Write-path memory bounds. Checkpoint run frames are streamed through
+// one fixed chunk (util::write_frame_streamed); the files must stay
+// byte-identical to the buffered encoder below, and neither segment
+// discovery nor a checkpoint write may allocate in proportion to the
+// data on disk.
+
+template <typename V>
+using RunLists = std::vector<std::vector<stream::CheckpointRun<V>>>;
+
+/// The buffered checkpoint encoder the streamed writer replaced: each
+/// frame built whole in a ByteWriter, then write_frame. Kept here only as
+/// the byte-identity reference.
+template <typename V>
+void write_checkpoint_reference(const std::string& path,
+                                const stream::WalManifest& manifest,
+                                std::uint64_t epoch, const RunLists<V>& shards,
+                                const std::vector<std::uint64_t>& edges) {
+  std::uint64_t total_runs = 0;
+  for (const auto& runs : shards) total_runs += runs.size();
+  util::File f = util::File::create_append(path);
+  {
+    util::ByteWriter w;
+    w.u32(stream::kFrameCheckpointHeader);
+    w.u32(stream::kWalFormatVersion);
+    w.u64(epoch);
+    stream::encode_manifest(w, manifest);
+    for (const std::uint64_t e : edges) w.u64(e);
+    w.u64(total_runs);
+    util::write_frame(f, w.buffer());
+  }
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    for (const auto& run : shards[s]) {
+      const sparse::Csr<V>& csr = *run.csr;
+      util::ByteWriter w;
+      w.u32(stream::kFrameCheckpointRun);
+      w.u32(static_cast<std::uint32_t>(s));
+      w.u64(run.weight);
+      w.u64(static_cast<std::uint64_t>(csr.nrows()));
+      w.u64(static_cast<std::uint64_t>(csr.ncols()));
+      w.u64(static_cast<std::uint64_t>(csr.nnz()));
+      for (const index_t v : csr.row_ptr()) w.i64(v);
+      for (const index_t v : csr.cols()) w.i64(v);
+      w.bytes(csr.vals().data(), csr.vals().size() * sizeof(V));
+      util::write_frame(f, w.buffer());
+    }
+  }
+  f.close();
+}
+
+/// n x n CSR whose first `rows` rows each hold `per_row` consecutive
+/// columns; values are a deterministic function of the position.
+template <typename V>
+std::shared_ptr<const sparse::Csr<V>> band_csr(index_t n, index_t rows,
+                                               index_t per_row) {
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<index_t> cols;
+  std::vector<V> vals;
+  cols.reserve(static_cast<std::size_t>(rows * per_row));
+  vals.reserve(static_cast<std::size_t>(rows * per_row));
+  for (index_t i = 0; i < n; ++i) {
+    if (i < rows) {
+      for (index_t k = 0; k < per_row; ++k) {
+        cols.push_back(k);
+        vals.push_back(static_cast<V>((i * 31 + k * 7) % 101 + 1));
+      }
+    }
+    row_ptr[static_cast<std::size_t>(i) + 1] = static_cast<index_t>(cols.size());
+  }
+  return std::make_shared<const sparse::Csr<V>>(
+      n, n, std::move(row_ptr), std::move(cols), std::move(vals));
+}
+
+/// write_checkpoint's file equals the reference encoder's, byte for byte,
+/// and parses back to the same runs. Returns the file image.
+template <typename V>
+std::vector<unsigned char> check_checkpoint_identity(
+    const std::string& dir, const stream::WalManifest& manifest,
+    const RunLists<V>& shards) {
+  util::ensure_dir(dir);
+  const std::vector<std::uint64_t> edges(manifest.shard_count, 5);
+  const std::string streamed =
+      stream::write_checkpoint<V>(dir, manifest, 7, shards, edges);
+  const std::string reference = dir + "/reference.bin";
+  write_checkpoint_reference<V>(reference, manifest, 7, shards, edges);
+  const auto image = util::read_file(streamed);
+  const bool identical = image == util::read_file(reference);
+  CHECK(identical);
+  if (!identical) return image;
+  const auto loaded = stream::parse_checkpoint<V>(streamed, manifest);
+  CHECK_EQ(loaded.epoch, 7u);
+  CHECK(loaded.edges == edges);
+  CHECK_EQ(loaded.shards.size(), shards.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    CHECK_EQ(loaded.shards[s].size(), shards[s].size());
+    for (std::size_t r = 0; r < shards[s].size(); ++r) {
+      CHECK_EQ(loaded.shards[s][r].weight, shards[s][r].weight);
+      CHECK(csr_bitwise_equal(*loaded.shards[s][r].csr, *shards[s][r].csr));
+    }
+  }
+  return image;
+}
+
+void test_checkpoint_streamed_bytes_match_reference() {
+  TempDir td;
+  using Run = stream::CheckpointRun<double>;
+  const auto batches = trial_batches(141);
+  const auto prefix_run = [&](std::size_t k, std::uint64_t weight) {
+    return Run{std::make_shared<const sparse::Csr<double>>(
+                   oracle_prefix(kN, batches, k)),
+               weight};
+  };
+  const auto empty_run = Run{band_csr<double>(kN, 0, 0), 1};
+  const stream::WalManifest one{"test/8", kN, 1, 0};
+  const stream::WalManifest four{"test/8", kN, 4, 0};
+  // Empty run lists, one shard and four.
+  check_checkpoint_identity<double>(td.path + "/empty1", one,
+                                    RunLists<double>(1));
+  check_checkpoint_identity<double>(td.path + "/empty4", four,
+                                    RunLists<double>(4));
+  // A zero-nnz run.
+  check_checkpoint_identity<double>(td.path + "/zero", one, {{empty_run}});
+  // Real ladder-shaped runs: one shard, then four with an empty shard
+  // and a zero-nnz run among them.
+  check_checkpoint_identity<double>(
+      td.path + "/one", one,
+      {{prefix_run(8, 4), prefix_run(3, 2), prefix_run(1, 1)}});
+  check_checkpoint_identity<double>(
+      td.path + "/four", four,
+      {{prefix_run(5, 4), prefix_run(2, 1)},
+       {},
+       {empty_run, prefix_run(9, 2)},
+       {prefix_run(24, 8)}});
+  // A run spanning many chunks.
+  check_checkpoint_identity<double>(
+      td.path + "/multi", stream::WalManifest{"test/8", 512, 1, 0},
+      {{Run{band_csr<double>(512, 256, 64), 3}}});
+  // Run payloads of chunk - 1, chunk and chunk + 1 bytes. A one-byte value
+  // type makes every length reachable: payload = fixed + 8 (n + 1) + 9 nnz.
+  constexpr std::uint64_t kFixed = stream::kRunFrameFixedBytes + 8;
+  for (const std::uint64_t target :
+       {util::kFrameChunkBytes - 1, util::kFrameChunkBytes,
+        util::kFrameChunkBytes + 1}) {
+    std::uint64_t nnz = 0;
+    while ((target - kFixed - 9 * nnz) % 8 != 0) ++nnz;
+    const auto n = static_cast<index_t>((target - kFixed - 9 * nnz) / 8);
+    const stream::WalManifest manifest{"test/1", static_cast<std::uint64_t>(n),
+                                       1, 0};
+    const auto image = check_checkpoint_identity<std::uint8_t>(
+        td.path + "/chunk" + std::to_string(target), manifest,
+        {{stream::CheckpointRun<std::uint8_t>{
+            band_csr<std::uint8_t>(n, nnz > 0 ? 1 : 0,
+                                   static_cast<index_t>(nnz)),
+            1}}});
+    util::FrameReader reader(image);
+    std::vector<unsigned char> payload;
+    CHECK(reader.next(payload) == util::FrameStatus::kOk);  // header
+    CHECK(reader.next(payload) == util::FrameStatus::kOk);  // the run
+    CHECK_EQ(payload.size(), target);
+  }
+}
+
+/// Bytes requested through operator new since construction, and the
+/// largest single request. Read with no other thread running.
+class AllocWindow {
+ public:
+  AllocWindow() { g_alloc_largest.store(0, std::memory_order_relaxed); }
+  std::uint64_t bytes() const {
+    return g_alloc_bytes.load(std::memory_order_relaxed) - start_;
+  }
+  std::uint64_t largest() const {
+    return g_alloc_largest.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::uint64_t start_ = g_alloc_bytes.load(std::memory_order_relaxed);
+};
+
+constexpr std::uint64_t kKiB = 1024;
+constexpr std::uint64_t kMiB = 1024 * kKiB;
+
+/// Segment discovery reads header frames only: two 64 MiB segments (a
+/// valid header, extended by a sparse ftruncate) cost under 64 KiB to
+/// list and to retire.
+void test_segment_discovery_allocation_bound() {
+  TempDir td;
+  const stream::WalManifest manifest{"test/8", kN, 1, 0};
+  for (const std::uint64_t seqno : {0U, 1U}) {
+    stream::Wal wal(td.path, manifest, Durability::kNone, 64 * kMiB, seqno,
+                    /*start_epoch=*/10 * seqno);
+    wal.close();
+    util::File f =
+        util::File::open_append(td.path + "/" + stream::wal_segment_name(seqno));
+    f.truncate(64 * kMiB);
+    f.close();
+  }
+  {
+    const AllocWindow window;
+    const auto segments = stream::Wal::list_segments(td.path);
+    const std::uint64_t used = window.bytes();
+    std::printf("  list_segments over 2 x 64 MiB: %llu bytes allocated\n",
+                static_cast<unsigned long long>(used));
+    CHECK(used < 64 * kKiB);
+    CHECK_EQ(segments.size(), 2u);
+    for (const auto& seg : segments) CHECK(seg.header_ok);
+    CHECK_EQ(segments[1].start_epoch, 10u);
+  }
+  {
+    const AllocWindow window;
+    stream::Wal::retire_segments(td.path, /*checkpoint_epoch=*/10,
+                                 /*active_seqno=*/2);
+    CHECK(window.bytes() < 64 * kKiB);
+  }
+  CHECK(!util::file_exists(td.path + "/" + stream::wal_segment_name(0)));
+  CHECK(util::file_exists(td.path + "/" + stream::wal_segment_name(1)));
+}
+
+/// A checkpoint holding a run of more than 4 MiB allocates under 1 MiB in
+/// all, and nothing larger than one 64 KiB chunk at a time.
+void test_checkpoint_write_allocation_bound() {
+  TempDir td;
+  constexpr index_t n = 1024;
+  const auto csr = band_csr<double>(n, n, 256);
+  CHECK(csr->nnz() * 16 >= static_cast<index_t>(4 * kMiB));
+  const stream::WalManifest manifest{"test/8", n, 1, 0};
+  const RunLists<double> shards = {{stream::CheckpointRun<double>{csr, 1}}};
+  const std::vector<std::uint64_t> edges = {0};
+  std::string path;
+  {
+    const AllocWindow window;
+    path = stream::write_checkpoint<double>(td.path, manifest, 1, shards, edges);
+    const std::uint64_t used = window.bytes();
+    std::printf(
+        "  write_checkpoint of a %lld-nnz run: %llu bytes allocated, "
+        "largest %llu\n",
+        static_cast<long long>(csr->nnz()),
+        static_cast<unsigned long long>(used),
+        static_cast<unsigned long long>(window.largest()));
+    CHECK(used < kMiB);
+    CHECK(window.largest() <= 64 * kKiB);
+  }
+  const auto loaded = stream::parse_checkpoint<double>(path, manifest);
+  CHECK(csr_bitwise_equal(*loaded.shards[0][0].csr, *csr));
+}
+
+// ---------------------------------------------------------------------------
 // Durable failpoint sweep — the wal.append.*, checkpoint.write, and
 // recover.replay sites slot into the PR 8 injection methodology:
 // exercise each site and assert its documented guarantee class.
@@ -1036,6 +1354,7 @@ int main(int argc, char** argv) {
   test_crc32c_vectors();
   test_byte_codec_roundtrip();
   test_frame_reader_classification();
+  test_frame_length_cap();
   test_wal_replay_roundtrip();
   test_recover_clean();
   test_recover_empty_dir_is_fresh();
@@ -1046,6 +1365,9 @@ int main(int argc, char** argv) {
   test_corruption_sealed_segment_is_refused();
   test_corruption_bitflip_matrix();
   test_corruption_checkpoint_bitflips();
+  test_checkpoint_streamed_bytes_match_reference();
+  test_segment_discovery_allocation_bound();
+  test_checkpoint_write_allocation_bound();
 #if I2A_FAILPOINTS_ENABLED
   std::printf("test_recovery: failpoints ENABLED — durable site sweep\n");
   test_wal_append_failpoints();
