@@ -63,6 +63,17 @@ std::vector<std::span<const graph::Edge>> split_batches(
   return out;
 }
 
+/// Background compaction on `pool`, unweighted.
+stream::Options background_opts(util::ThreadPool* pool,
+                                std::size_t max_pending_merges =
+                                    stream::kUnboundedPendingMerges) {
+  stream::Options o;
+  o.pool = pool;
+  o.compaction = stream::Compaction::kBackground;
+  o.max_pending_merges = max_pending_merges;
+  return o;
+}
+
 double percentile_ms(std::vector<double>& v, double q) {
   if (v.empty()) return 0.0;
   const auto idx =
@@ -82,8 +93,7 @@ void BM_ServeIngestThroughput(benchmark::State& state) {
   std::uint64_t final_nnz = 0;
   for (auto _ : state) {
     stream::ShardedBuilder<algebra::PlusTimes<double>> b(
-        g.num_vertices(), shards, p, stream::Weighting::kUnweighted,
-        sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
+        g.num_vertices(), shards, p, background_opts(&pool));
     for (const auto& batch : batches) b.ingest(batch);
     b.drain();
     const auto a = b.adjacency();
@@ -110,8 +120,7 @@ void BM_ServeMixed(benchmark::State& state) {
   std::vector<double> latencies_ms;
   for (auto _ : state) {
     stream::ShardedBuilder<algebra::PlusTimes<double>> b(
-        g.num_vertices(), shards, p, stream::Weighting::kUnweighted,
-        sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
+        g.num_vertices(), shards, p, background_opts(&pool));
     std::atomic<bool> done{false};
     std::vector<std::vector<double>> per_reader(kQueryThreads);
     std::vector<std::thread> readers;
@@ -165,9 +174,8 @@ void BM_ServeDegraded(benchmark::State& state) {
   std::uint64_t backpressure_events = 0;
   for (auto _ : state) {
     stream::ShardedBuilder<algebra::PlusTimes<double>> b(
-        g.num_vertices(), shards, p, stream::Weighting::kUnweighted,
-        sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground,
-        kMaxPendingMerges);
+        g.num_vertices(), shards, p,
+        background_opts(&pool, kMaxPendingMerges));
     std::atomic<bool> done{false};
     std::vector<std::vector<double>> per_reader(kQueryThreads);
     std::vector<std::thread> readers;

@@ -177,8 +177,9 @@ std::string write_checkpoint(
 }
 
 /// Parse one checkpoint file completely. Throws RecoveryError on any
-/// structural problem (torn frame, bad counts, manifest mismatch — the
-/// caller distinguishes mismatch by catching ManifestMismatch below).
+/// structural problem (torn frame, bad counts, a non-canonical run,
+/// manifest mismatch — the caller distinguishes mismatch by catching
+/// ManifestMismatch below).
 struct ManifestMismatch final : RecoveryError {
   explicit ManifestMismatch(const std::string& what) : RecoveryError(what) {}
 };
@@ -248,9 +249,15 @@ LoadedCheckpoint<V> parse_checkpoint(const std::string& path,
       for (std::uint64_t k = 0; k < nnz; ++k) cols.push_back(rr.i64());
       std::vector<V> vals(nnz);
       rr.raw(vals.data(), nnz * sizeof(V));
-      run.csr = std::make_shared<const sparse::Csr<V>>(
-          static_cast<index_t>(nrows), static_cast<index_t>(ncols),
-          std::move(row_ptr), std::move(cols), std::move(vals));
+      sparse::Csr<V> csr(static_cast<index_t>(nrows),
+                         static_cast<index_t>(ncols), std::move(row_ptr),
+                         std::move(cols), std::move(vals));
+      // A CRC-valid run must still be canonical before the merge kernels
+      // index with it.
+      if (!csr.is_canonical()) {
+        throw corrupt("run " + std::to_string(i) + " is not a canonical CSR");
+      }
+      run.csr = std::make_shared<const sparse::Csr<V>>(std::move(csr));
       out.shards[shard].push_back(std::move(run));
     }
     if (reader.next(payload) != util::FrameStatus::kEnd) {

@@ -1,56 +1,60 @@
 #pragma once
 /// \file stream/sharded_builder.hpp
-/// \brief Shared-nothing row sharding over the streaming builder:
-///        hash-partition source vertices across N independent
-///        `AdjacencyBuilder` shards, serve one fused `PinnedSnapshot`.
+/// \brief The streaming builder's one front-end: ingest edge batches,
+///        keep A = Eᵀout ⊕.⊗ Ein current, and serve lock-free
+///        epoch-pinned snapshots while the writer appends and compacts —
+///        over N row shards, durably if asked.
 ///
-/// Sharding by *source vertex* is exact for this workload, not an
+/// **Sharding.** Partitioning by *source vertex* is exact, not an
 /// approximation: adjacency row i is the ⊕-fold of precisely the edges
 /// with src = i, so routing each edge to the shard that owns its source
-/// partitions the fold by row. Every shard builds over the full n × n
-/// shape (rows it doesn't own stay empty), which keeps run shapes
-/// conformant for the k-way merge; the fused snapshot is simply the
-/// concatenation of every shard's pinned run-list. Per row, all
-/// contributing runs come from the one shard that owns it and stay in
-/// batch-age order, so the fused snapshot is byte-identical to a
-/// single-builder snapshot and to a full rebuild — pinned per prefix by
-/// test_sharded_differential.
-///
-/// Shards share nothing on the hot path: each has its own ladder,
-/// mutex, and background compaction chain. The only cross-shard state
-/// is one coordination mutex making (publish to all shards) and (pin
-/// all shards) atomic with respect to each other, so a fused snapshot
-/// always covers the same batch prefix on every shard. Staging — the
-/// expensive incidence + SpGEMM work — happens for all shards *before*
-/// that mutex is taken; the critical section is N cheap run-list
-/// appends (background mode) or the ladder merges (inline mode).
+/// partitions the fold by row. Each shard is a ladder of immutable runs
+/// (stream/shard.hpp) over the full n × n shape (rows it does not own
+/// stay empty), so the fused snapshot is the concatenation of every
+/// shard's pinned runs: per row, all contributing runs come from the one
+/// owning shard in batch-age order, byte-identical to a full rebuild
+/// (test_sharded_differential). One shard is the unsharded builder —
+/// `AdjacencyBuilder` — and its batches pass through unrouted, uncopied.
 ///
 /// The shard hash is a splitmix64-style finalizer over the vertex id,
-/// not `src % N`: generator vertex ids are dense, and real-world id
-/// schemes stripe (hubs at round numbers, region prefixes), so a plain
-/// modulus can systematically starve shards. The finalizer decorrelates
-/// shard choice from id structure at ~1 ns cost (DESIGN.md §9).
+/// not `src % N`: generator ids are dense and real-world id schemes
+/// stripe, so a plain modulus can systematically starve shards
+/// (DESIGN.md §9).
 ///
-/// Exception safety: sharded ingest is **two-phase** and carries the
-/// same strong guarantee as the single builder (swept by
-/// tests/test_failpoints.cpp). Phase 1 *prepares* every shard — staging,
-/// and in inline mode the compaction merges, all on private state; any
-/// failure (a throwing ⊕, allocation, an armed failpoint) unwinds with
-/// no shard touched. Phase 2 *commits* every shard under the
-/// coordination mutex with `commit_publish`, which has no fallible step
-/// before the batch counts — so shard epochs can never tear: either all
-/// shards advance or none does. Background-merge failures follow the
-/// single-builder deferred-error rules, surfacing from `drain()` / the
-/// next `ingest()` (exactly once per failure) and peeking into
-/// `snapshot().pending_error()`.
+/// **Threads.** Single writer, any number of readers. `ingest` calls
+/// are externally serialized; `snapshot`, `adjacency`, `stats`,
+/// `num_levels`, `drain` and `dismiss_pending_errors` are safe from any
+/// thread concurrently with the writer and background work (test_serve,
+/// under TSan). One coordination mutex makes (commit to every shard)
+/// and (pin every shard) atomic with respect to each other, so a
+/// snapshot always covers the same batch prefix on every shard. It
+/// covers noexcept splices only: staging and inline merges run before
+/// it is taken, background merges are scheduled after it is released.
+///
+/// **Failures (DESIGN.md §10).** `ingest` gives the strong guarantee:
+/// validation, a pending deferred error, staging, inline merges and the
+/// WAL append all happen before the first shard commits, and commits
+/// cannot fail — either every shard advances or none does. Background
+/// merge and checkpoint failures are queued and delivered exactly once,
+/// by `drain()` or the next `ingest()` (before it consumes its batch);
+/// `snapshot()` only peeks the oldest into `pending_error()`.
+///
+/// **Durability (DESIGN.md §12).** With `Options::wal_dir` set, each
+/// acknowledged batch is one WAL frame, logged once and un-routed (the
+/// hash re-routes it identically on replay), between the prepare and
+/// commit phases. Checkpoints of every shard's run list at one epoch go
+/// to the pool every `checkpoint_every` batches. `recover()` loads the
+/// newest valid checkpoint, replays the WAL suffix through `ingest`, and
+/// attaches a fresh segment.
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -58,10 +62,9 @@
 #include "core/types.hpp"
 #include "graph/graph.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/spgemm.hpp"
-#include "stream/adjacency_builder.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/pinned_snapshot.hpp"
+#include "stream/shard.hpp"
 #include "stream/wal.hpp"
 #include "util/failpoint.hpp"
 #include "util/io.hpp"
@@ -71,74 +74,87 @@
 
 namespace i2a::stream {
 
-/// N independent single-writer builders behind one writer-facing
-/// `ingest` and one reader-facing `snapshot`. Same thread contract as
-/// `AdjacencyBuilder`: ingest calls externally serialized, everything
-/// else callable from any thread concurrently.
+/// Maintains A over a batched edge stream for one operator pair, split
+/// over `num_shards` row shards. The ladder regroups the ⊕-fold across
+/// batches and each delta is a full ⊕.⊗ product, so the pair must
+/// declare the complete `Semiring` contract.
 template <typename P>
   requires algebra::Semiring<P>
 class ShardedBuilder {
+  using Shard = detail::Shard<P>;
+
  public:
   using value_type = typename P::value_type;
-  using Stats = typename AdjacencyBuilder<P>::Stats;
+  using Stats = BuilderStats;
 
-  /// `max_pending_merges` is forwarded to every shard: each shard's
-  /// compaction debt is bounded independently (debt is per-ladder).
+  /// A non-empty `opts.wal_dir` attaches a fresh WAL (segment 0, epoch
+  /// 0); the directory must not already hold durable state (use
+  /// `recover()`).
   ShardedBuilder(index_t num_vertices, std::size_t num_shards, P p = P{},
-                 Weighting weighting = Weighting::kUnweighted,
-                 sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto,
-                 util::ThreadPool* pool = nullptr,
-                 Compaction compaction = Compaction::kInline,
-                 std::size_t max_pending_merges = kUnboundedPendingMerges)
-      : ShardedBuilder(num_vertices, num_shards, std::move(p),
-                       Options{weighting, algo, pool, compaction,
-                               max_pending_merges, {},
-                               Durability::kFsyncEachBatch, 64ULL << 20,
-                               0}) {}
-
-  /// Options-struct constructor — the durable entry point. The sharded
-  /// builder owns ONE WAL for the whole group (each shard gets
-  /// durability-stripped options): a batch is logged once, un-routed,
-  /// and the deterministic shard hash re-routes it identically on
-  /// replay. The manifest records the shard count, so recovery refuses
-  /// a directory written under a different sharding.
-  ShardedBuilder(index_t num_vertices, std::size_t num_shards, P p,
-                 const Options& opts)
-      : n_(num_vertices), p_(std::move(p)), wal_dir_(opts.wal_dir),
-        durability_(opts.durability),
-        wal_segment_bytes_(opts.wal_segment_bytes),
-        checkpoint_every_(opts.checkpoint_every) {
-    if (num_shards == 0) {
-      throw std::invalid_argument("ShardedBuilder: zero shards");
+                 const Options& opts = {})
+      : n_(num_vertices), p_(std::move(p)), pool_(opts.pool),
+        manifest_{algebra_tag<P>(), static_cast<std::uint64_t>(num_vertices),
+                  static_cast<std::uint32_t>(num_shards),
+                  static_cast<std::uint32_t>(opts.weighting)},
+        coord_(std::make_unique<Coord>()) {
+    if (num_vertices < 0) {
+      throw std::invalid_argument("i2a::stream: negative vertex count");
     }
-    const Options shard_opts = opts.without_durability();
+    if (num_shards == 0) throw std::invalid_argument("i2a::stream: 0 shards");
     shards_.reserve(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      shards_.emplace_back(num_vertices, p_, shard_opts);
+      shards_.emplace_back(num_vertices, p_, opts);
     }
-    if (!wal_dir_.empty()) {
-      manifest_ = shards_.front().make_manifest(
-          static_cast<std::uint32_t>(num_shards));
-      util::ensure_dir(wal_dir_);
-      require_no_durable_state(wal_dir_);
-      wal_.emplace(wal_dir_, manifest_, durability_, wal_segment_bytes_,
-                   /*seqno=*/0, /*start_epoch=*/0);
+    if (!opts.wal_dir.empty()) {
+      util::ensure_dir(opts.wal_dir);
+      require_no_durable_state(opts.wal_dir);
+      attach_wal(opts, /*seqno=*/0);
     }
   }
 
-  /// Rebuild a sharded builder from the durable state in
-  /// `opts.wal_dir` — same contract as `AdjacencyBuilder::recover`
-  /// (checkpoint + WAL-suffix replay, torn-tail repair, typed refusal
-  /// of mismatched manifests, idempotent). `num_shards` must match the
-  /// recorded manifest or recovery throws `RecoveryError`.
+  /// Rebuild a builder from the durable state in `opts.wal_dir`: load
+  /// the newest fully-valid checkpoint (if any), replay the WAL suffix
+  /// through `ingest` — repairing a torn tail in the last segment — and
+  /// attach a fresh segment for new batches. Throws `RecoveryError` on
+  /// mismatched durable state (algebra instantiation, vertex count,
+  /// shard count or weighting), mid-log corruption or a broken epoch
+  /// chain. Idempotent; an empty or absent directory yields a fresh
+  /// builder. Cost counters other than `batches` and `edges` restart at
+  /// zero for the checkpointed prefix.
   static ShardedBuilder recover(index_t num_vertices, std::size_t num_shards,
                                 P p, const Options& opts) {
-    return ShardedBuilder(RecoverTag{}, num_vertices, num_shards,
-                          std::move(p), opts);
+    if (opts.wal_dir.empty()) {
+      throw std::invalid_argument("i2a::stream: recover: empty wal_dir");
+    }
+    Options in_memory = opts;
+    in_memory.wal_dir.clear();  // the WAL attaches after the replay
+    ShardedBuilder b(num_vertices, num_shards, std::move(p), in_memory);
+    util::ensure_dir(opts.wal_dir);
+    std::uint64_t start = 0;
+    if (auto ckpt = load_newest_checkpoint<value_type>(opts.wal_dir,
+                                                       b.manifest_)) {
+      start = ckpt->epoch;
+      for (std::size_t s = 0; s < b.shards_.size(); ++s) {
+        b.shards_[s].restore_runs(std::move(ckpt->shards[s]), ckpt->edges[s]);
+      }
+      util::MutexLock lock(b.coord_->mu);
+      b.coord_->epoch = start;
+    }
+    const WalReplayStats replayed = replay_wal(
+        opts.wal_dir, b.manifest_, start,
+        [&b](std::uint64_t, const std::vector<graph::Edge>& edges) {
+          // Injection site: one evaluation per replayed batch, so the
+          // sweep can kill recovery itself mid-replay.
+          I2A_FAILPOINT("recover.replay");
+          b.ingest(edges);
+        });
+    b.attach_wal(opts, replayed.any_segment ? replayed.last_seqno + 1 : 0);
+    return b;
   }
 
   ShardedBuilder(const ShardedBuilder&) = delete;
   ShardedBuilder& operator=(const ShardedBuilder&) = delete;
+  ShardedBuilder(ShardedBuilder&&) noexcept = default;
 
   index_t num_vertices() const { return n_; }
   std::size_t num_shards() const { return shards_.size(); }
@@ -148,17 +164,55 @@ class ShardedBuilder {
     return shard_index(src, shards_.size());
   }
 
-  /// Route the batch's edges to their shards, stage and *prepare* every
-  /// shard's publish (no coordination lock; any failure unwinds with no
-  /// shard touched), then *commit* all shards under the coordination
-  /// mutex — a loop of noexcept steps, so concurrent snapshots never
-  /// observe a half-applied batch and shard epochs cannot tear. Every
-  /// shard ingests every batch — shards a batch sends no edges to
-  /// publish an empty delta — keeping all shard epochs in lockstep.
-  /// Backpressure (if configured) runs last, per shard, outside the
-  /// coordination mutex.
-  void ingest(std::span<const graph::Edge> batch) I2A_EXCLUDES(mu_) {
-    ingest_impl(batch, /*log=*/true);
+  /// Ingest one batch: deliver a pending background failure, validate,
+  /// route, stage and *prepare* every shard (no lock), log the batch,
+  /// *commit* every shard under the coordination mutex, then schedule
+  /// background merges, a checkpoint and backpressure. Every shard
+  /// commits every batch — one the batch sends no edges to commits an
+  /// empty delta — so shard epochs stay in lockstep.
+  ///
+  /// Strong guarantee: if this throws, the batch was not consumed and
+  /// the builder (runs, stats, epoch, log) is unchanged. Under
+  /// `Durability::kFsyncEachBatch` a normal return means the batch is on
+  /// stable storage.
+  void ingest(std::span<const graph::Edge> batch) I2A_EXCLUDES(coord_->mu) {
+    rethrow_pending_error();
+    for (const graph::Edge& e : batch) {
+      if (e.src < 0 || e.src >= n_ || e.dst < 0 || e.dst >= n_) {
+        throw std::out_of_range("i2a::stream: ingest: edge endpoint "
+                                "out of range");
+      }
+    }
+    const std::size_t k = shards_.size();
+    std::vector<std::vector<graph::Edge>> routed;
+    if (k > 1) {
+      routed.resize(k);
+      for (const graph::Edge& e : batch) {
+        routed[shard_index(e.src, k)].push_back(e);
+      }
+    }
+    std::vector<typename Shard::Prepared> preps;
+    preps.reserve(k);
+    for (std::size_t s = 0; s < k; ++s) {
+      const std::span<const graph::Edge> part =
+          k == 1 ? batch : std::span<const graph::Edge>(routed[s]);
+      preps.push_back(
+          shards_[s].prepare_publish(shards_[s].stage(part), part.size()));
+    }
+    const std::uint64_t epoch = this->epoch() + 1;
+    // The last fallible step; its rollback on failure extends the strong
+    // guarantee across the log and the ladders together.
+    if (wal_) wal_->append(epoch, batch);
+    {
+      util::MutexLock lock(coord_->mu);
+      for (std::size_t s = 0; s < k; ++s) {
+        shards_[s].commit_publish(std::move(preps[s]));
+      }
+      coord_->epoch = epoch;
+    }
+    for (Shard& shard : shards_) shard.schedule_compaction();
+    maybe_checkpoint(epoch);
+    for (Shard& shard : shards_) shard.backpressure();
   }
 
   /// Edge-list convenience overload.
@@ -166,47 +220,40 @@ class ShardedBuilder {
     ingest(std::span<const graph::Edge>(batch.data(), batch.size()));
   }
 
-  /// Pin every shard's run-list under the coordination mutex and fuse
-  /// them (shard order, oldest first within a shard) into one
-  /// `PinnedSnapshot`. Rows are disjoint across shards, so the fused
-  /// read paths fold each row from exactly its owning shard's runs —
-  /// byte-identical to the single-builder snapshot of the same prefix.
-  PinnedSnapshot<P> snapshot() const I2A_EXCLUDES(mu_) {
-    std::vector<std::shared_ptr<const sparse::Csr<value_type>>> fused;
-    std::uint64_t epoch = 0;
+  /// Pin every shard's run list (shard order, oldest first within a
+  /// shard) under the coordination mutex — O(live runs) shared_ptr
+  /// copies — into one `PinnedSnapshot` the reader traverses with no
+  /// further synchronization. Never throws past allocation: a queued
+  /// background failure is peeked into `pending_error()`, not consumed.
+  PinnedSnapshot<P> snapshot() const I2A_EXCLUDES(coord_->mu) {
+    std::vector<typename Shard::RunPtr> runs;
     std::exception_ptr pending;
+    std::uint64_t epoch = 0;
     {
-      util::MutexLock lock(mu_);
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        PinnedSnapshot<P> pin = shards_[s].snapshot();
-        if (s == 0) epoch = pin.batches();
-        if (!pending && pin.pending_error()) pending = pin.pending_error();
-        const auto& handles = pin.run_handles();
-        fused.insert(fused.end(), handles.begin(), handles.end());
+      util::MutexLock lock(coord_->mu);
+      for (const Shard& shard : shards_) {
+        std::exception_ptr err = shard.pin(runs);
+        if (!pending) pending = std::move(err);
       }
+      epoch = coord_->epoch;
     }
-    return PinnedSnapshot<P>(n_, p_, epoch, std::move(fused), pending);
+    return PinnedSnapshot<P>(n_, p_, epoch, std::move(runs),
+                             std::move(pending));
   }
 
-  /// Materialized fused adjacency (query-side fan-in: one k-way merge
-  /// across every shard's pinned runs).
+  /// The maintained adjacency array: one k-way ⊕-merge of the pinned
+  /// runs, byte-identical to `build_adjacency` / `adjacency_array` over
+  /// the concatenation of every ingested batch.
   sparse::Csr<value_type> adjacency() const {
-    return snapshot().materialize(pool());
+    return snapshot().materialize(pool_);
   }
 
-  /// Aggregate maintenance stats: batches is the shard-lockstep epoch;
-  /// the cost counters (including pending_merges and
-  /// backpressure_events) sum across shards; failpoints_hit is the
-  /// process-wide fire count (identical in every shard).
+  /// `batches` is the epoch; every other counter sums across shards;
+  /// `failpoints_hit` is the process-wide fire count.
   Stats stats() const {
     Stats total;
-    bool first = true;
-    for (const auto& shard : shards_) {
+    for (const Shard& shard : shards_) {
       const Stats s = shard.stats();
-      if (first) {
-        total.batches = s.batches;
-        first = false;
-      }
       total.edges += s.edges;
       total.compactions += s.compactions;
       total.delta_entries += s.delta_entries;
@@ -214,167 +261,96 @@ class ShardedBuilder {
       total.pending_merges += s.pending_merges;
       total.backpressure_events += s.backpressure_events;
       total.checkpoints += s.checkpoints;
-      total.failpoints_hit = s.failpoints_hit;
     }
+    total.batches = epoch();
+    total.failpoints_hit = util::failpoints_fired_total();
     return total;
   }
 
-  /// Wait for every shard's background compaction chain to settle, then
-  /// rethrow the first pending failure encountered (shard order). Every
-  /// shard is drained even when an early shard throws; each shard
-  /// reports at most one failure per drain call, so repeated drains (or
-  /// subsequent ingests) deliver any remaining queued failures —
-  /// exactly once each.
+  /// Live runs summed across shards. Each shard holds ≤ log₂(batches) + 1
+  /// whenever it is settled — after every inline-mode `ingest`, and after
+  /// `drain()` in background mode.
+  index_t num_levels() const {
+    std::size_t runs = 0;
+    for (const Shard& shard : shards_) runs += shard.num_runs();
+    return static_cast<index_t>(runs);
+  }
+
+  /// Block until no background compaction or checkpoint is in flight on
+  /// any shard, then rethrow the oldest undelivered background failure
+  /// of the first shard holding one. Each queued failure is delivered
+  /// exactly once across `drain()` and `ingest()`.
   void drain() const {
-    std::exception_ptr first;
-    for (const auto& shard : shards_) {
-      try {
-        shard.drain();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
+    for (const Shard& shard : shards_) shard.settle();
+    rethrow_pending_error();
+  }
+
+  /// Settle, then discard every queued background failure without
+  /// rethrowing; returns how many. The explicit alternative to `drain()`
+  /// the destructor's contract names: a builder destroyed holding an
+  /// undelivered failure is an asserted error in checked builds.
+  std::size_t dismiss_pending_errors() noexcept {
+    std::size_t n = 0;
+    for (Shard& shard : shards_) n += shard.dismiss_pending_errors();
+    return n;
   }
 
  private:
-  /// Tag-dispatched recovery constructor (see `recover`): delegate with
-  /// durability stripped, restore the checkpoint into every shard,
-  /// replay the WAL suffix through the normal (un-logged) publish path,
-  /// attach a fresh segment. ShardedBuilder holds a util::Mutex
-  /// directly so it is not movable — the tag constructor plus prvalue
-  /// return in `recover` is what stands in for a move.
-  struct RecoverTag {};
-  ShardedBuilder(RecoverTag, index_t num_vertices, std::size_t num_shards,
-                 P p, const Options& opts)
-      : ShardedBuilder(num_vertices, num_shards, std::move(p),
-                       opts.without_durability()) {
-    if (opts.wal_dir.empty()) {
-      throw std::invalid_argument("ShardedBuilder::recover: empty wal_dir");
+  /// The coordination state. Heap-held so the builder stays movable;
+  /// `mu` is always taken before any shard's ladder lock (DESIGN.md §11).
+  struct Coord {
+    mutable util::Mutex mu;
+    std::uint64_t epoch I2A_GUARDED_BY(mu) = 0;  ///< committed batches
+  };
+
+  std::uint64_t epoch() const I2A_EXCLUDES(coord_->mu) {
+    util::MutexLock lock(coord_->mu);
+    return coord_->epoch;
+  }
+
+  void rethrow_pending_error() const {
+    for (const Shard& shard : shards_) {
+      if (std::exception_ptr err = shard.pop_error()) {
+        std::rethrow_exception(err);
+      }
     }
-    wal_dir_ = opts.wal_dir;
-    durability_ = opts.durability;
-    wal_segment_bytes_ = opts.wal_segment_bytes;
+  }
+
+  void attach_wal(const Options& opts, std::uint64_t seqno) {
+    wal_.emplace(opts.wal_dir, manifest_, opts.durability,
+                 opts.wal_segment_bytes, seqno, epoch());
     checkpoint_every_ = opts.checkpoint_every;
-    manifest_ = shards_.front().make_manifest(
-        static_cast<std::uint32_t>(num_shards));
-    util::ensure_dir(wal_dir_);
-    std::uint64_t start_epoch = 0;
-    if (auto ckpt =
-            load_newest_checkpoint<value_type>(wal_dir_, manifest_)) {
-      start_epoch = ckpt->epoch;
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        shards_[s].restore_runs(std::move(ckpt->shards[s]), ckpt->epoch,
-                                ckpt->edges[s]);
-      }
-    }
-    const WalReplayStats rstats = replay_wal(
-        wal_dir_, manifest_, start_epoch,
-        [this](std::uint64_t, const std::vector<graph::Edge>& edges) {
-          // Injection site: shared with the single-builder recovery —
-          // one evaluation per replayed batch.
-          I2A_FAILPOINT("recover.replay");
-          ingest_impl(
-              std::span<const graph::Edge>(edges.data(), edges.size()),
-              /*log=*/false);
-        });
-    std::uint64_t epoch_now = 0;
-    {
-      util::MutexLock lock(mu_);
-      epoch_now = shards_.front().stats().batches;
-    }
-    wal_.emplace(wal_dir_, manifest_, durability_, wal_segment_bytes_,
-                 rstats.any_segment ? rstats.last_seqno + 1 : 0, epoch_now);
   }
 
-  /// The shared body of `ingest` (log = true) and recovery replay
-  /// (log = false): route, stage + prepare every shard, append the
-  /// un-routed batch to the WAL between prepare and commit (so a crash
-  /// mid-commit recovers the whole cross-shard batch — commit is
-  /// noexcept per shard, so once logging succeeded every shard
-  /// advances), commit all shards under the coordination mutex, then
-  /// checkpoint/backpressure.
-  void ingest_impl(std::span<const graph::Edge> batch, bool log)
-      I2A_EXCLUDES(mu_) {
-    for (auto& shard : shards_) shard.rethrow_pending_error();
-    for (const graph::Edge& e : batch) {
-      if (e.src < 0 || e.src >= n_ || e.dst < 0 || e.dst >= n_) {
-        throw std::out_of_range("ShardedBuilder::ingest: edge endpoint "
-                                "out of range");
-      }
+  /// At a checkpoint boundary: copy every shard's run list (the writer
+  /// just committed `epoch`, and only the writer commits, so all shards
+  /// are at it) and hand the write to shard 0's checkpoint token. One
+  /// checkpoint at a time; a boundary that finds one in flight is
+  /// skipped. The task captures values only — it may outlive the
+  /// builder, and it never touches the live `Wal`.
+  void maybe_checkpoint(std::uint64_t epoch) {
+    if (!wal_ || checkpoint_every_ == 0 || epoch % checkpoint_every_ != 0) {
+      return;
     }
-    const std::size_t k = shards_.size();
-    std::vector<std::vector<graph::Edge>> routed(k);
-    for (const graph::Edge& e : batch) {
-      routed[shard_index(e.src, k)].push_back(e);
+    std::vector<std::vector<typename Shard::Run>> runs;
+    std::vector<std::uint64_t> edges(shards_.size(), 0);
+    runs.reserve(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      runs.push_back(shards_[s].runs(edges[s]));
     }
-    // Phase 1: stage + prepare, all fallible work. Nothing is consumed
-    // until every shard has a Prepared in hand.
-    std::vector<typename AdjacencyBuilder<P>::Prepared> preps;
-    preps.reserve(k);
-    for (std::size_t s = 0; s < k; ++s) {
-      auto delta = shards_[s].stage(std::span<const graph::Edge>(
-          routed[s].data(), routed[s].size()));
-      preps.push_back(
-          shards_[s].prepare_publish(std::move(delta), routed[s].size()));
+    std::function<void()> write =
+        [dir = wal_->dir(), manifest = manifest_, epoch,
+         runs = std::move(runs), edges = std::move(edges),
+         active_seqno = wal_->seqno()] {
+          write_checkpoint<value_type>(dir, manifest, epoch, runs, edges);
+          gc_checkpoints(dir, epoch);
+          Wal::retire_segments(dir, epoch, active_seqno);
+        };
+    if (shards_.front().try_claim_checkpoint()) {
+      shards_.front().run_checkpoint(std::move(write));
     }
-    // The WAL append is the last fallible step: its strong guarantee
-    // (rollback on failure) extends the un-torn property across the
-    // log and the ladders together.
-    if (log && wal_) {
-      wal_->append(shards_.front().stats().batches + 1, batch);
-    }
-    // Phase 2: commit every shard — noexcept per shard — atomically with
-    // respect to fused snapshots.
-    {
-      util::MutexLock lock(mu_);
-      for (std::size_t s = 0; s < k; ++s) {
-        shards_[s].commit_publish(std::move(preps[s]));
-      }
-    }
-    if (log) maybe_checkpoint();
-    for (auto& shard : shards_) shard.maybe_backpressure();
   }
 
-  /// Cross-shard checkpoint scheduling. The checkpoint token lives on
-  /// shard 0's ladder (`checkpointing` + its cv), so `drain()` and
-  /// every shard-0 teardown path wait on it with no extra machinery;
-  /// failures land in shard 0's deferred-error queue. The run lists of
-  /// all shards are pinned under the coordination mutex, which orders
-  /// the pin against publishes — every shard is captured at the same
-  /// epoch.
-  void maybe_checkpoint() I2A_EXCLUDES(mu_) {
-    if (!wal_ || checkpoint_every_ == 0) return;
-    using Builder = AdjacencyBuilder<P>;
-    const std::size_t k = shards_.size();
-    std::uint64_t epoch = 0;
-    std::vector<std::vector<CheckpointRun<value_type>>> shard_runs(k);
-    std::vector<std::uint64_t> edges(k, 0);
-    {
-      util::MutexLock lock(mu_);
-      auto& lad0 = *shards_.front().ladder_;
-      {
-        util::MutexLock l0(lad0.mu);
-        epoch = lad0.stats.batches;
-        if (epoch == 0 || epoch % checkpoint_every_ != 0) return;
-        if (lad0.checkpointing) return;  // one in flight; skip boundary
-      }
-      for (std::size_t s = 0; s < k; ++s) {
-        auto& lad = *shards_[s].ladder_;
-        util::MutexLock ls(lad.mu);
-        shard_runs[s].reserve(lad.runs.size());
-        for (const auto& r : lad.runs) {
-          shard_runs[s].push_back(CheckpointRun<value_type>{r.csr, r.weight});
-        }
-        edges[s] = lad.stats.edges;
-      }
-      util::MutexLock l0(lad0.mu);
-      lad0.checkpointing = true;  // the last fallible step was above
-    }
-    Builder::dispatch_checkpoint(shards_.front().ladder_, pool(), wal_dir_,
-                                 manifest_, epoch, std::move(shard_runs),
-                                 std::move(edges), wal_->seqno());
-  }
   static std::size_t shard_index(index_t src, std::size_t shards) {
     auto x = static_cast<std::uint64_t>(src);
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -383,25 +359,14 @@ class ShardedBuilder {
     return static_cast<std::size_t>(x % static_cast<std::uint64_t>(shards));
   }
 
-  util::ThreadPool* pool() const {
-    return shards_.empty() ? nullptr : shards_.front().pool_;
-  }
-
   index_t n_;
   P p_;
-  /// Orders (publish-to-all) against (pin-all): a fused snapshot always
-  /// sees every shard at the same epoch. The per-shard ladders are
-  /// guarded by their own mutexes (see AdjacencyBuilder::Ladder); this
-  /// capability only sequences the two cross-shard composites, so it is
-  /// always the outermost lock (DESIGN.md §11).
-  mutable util::Mutex mu_;
-  std::vector<AdjacencyBuilder<P>> shards_;
-  // Durability (inert unless wal_ is engaged; writer-thread-only).
-  std::string wal_dir_;
-  Durability durability_ = Durability::kFsyncEachBatch;
-  std::uint64_t wal_segment_bytes_ = 64ULL << 20;
-  std::uint64_t checkpoint_every_ = 0;
+  util::ThreadPool* pool_;
   WalManifest manifest_;
+  std::vector<Shard> shards_;
+  std::unique_ptr<Coord> coord_;
+  // Durability (inert unless wal_ is engaged; writer-thread-only).
+  std::uint64_t checkpoint_every_ = 0;
   std::optional<Wal> wal_;
 };
 

@@ -403,8 +403,9 @@ inline void truncate_segment(const std::string& path, std::uint64_t keep,
 /// ftruncated back to the last valid frame boundary and replay
 /// succeeds. The same residue in any earlier segment cannot come from a
 /// tail crash (a later segment exists, so this one was sealed) and is
-/// reported as RecoveryError. Epoch gaps and manifest mismatches are
-/// always RecoveryError.
+/// reported as RecoveryError. Epoch gaps, manifest mismatches and
+/// CRC-valid frames naming a vertex ≥ the manifest's count are always
+/// RecoveryError.
 ///
 /// Idempotent: re-running on the directory it just repaired replays the
 /// identical batch sequence (truncation only ever removes bytes replay
@@ -489,11 +490,18 @@ WalReplayStats replay_wal(const std::string& dir,
           throw corrupt("batch frame size does not match edge count");
         }
         edges.reserve(count);
+        const auto n = static_cast<index_t>(expected.num_vertices);
         for (std::uint64_t i = 0; i < count; ++i) {
           graph::Edge e;
           e.src = static_cast<index_t>(r.i64());
           e.dst = static_cast<index_t>(r.i64());
           e.weight = r.f64();
+          // A frame can pass its CRC and still name a vertex the
+          // manifest does not have; that is corrupt state, not an
+          // ingest-time argument error.
+          if (e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n) {
+            throw corrupt("batch edge endpoint out of range");
+          }
           edges.push_back(e);
         }
       } catch (const util::IoError&) {

@@ -62,6 +62,18 @@ using Reg = util::FailpointRegistry;
 using Sched = Reg::Schedule;
 using Kind = Reg::Kind;
 
+/// Options for the in-memory builder configurations the sweeps cover.
+stream::Options mode_opts(util::ThreadPool* pool,
+                          stream::Compaction compaction,
+                          std::size_t max_pending_merges =
+                              stream::kUnboundedPendingMerges) {
+  stream::Options o;
+  o.pool = pool;
+  o.compaction = compaction;
+  o.max_pending_merges = max_pending_merges;
+  return o;
+}
+
 /// Multigraph workload with small-integer weights (exact folds).
 graph::Graph fail_graph(index_t n, index_t m, std::uint64_t seed) {
   auto g = graph::gen::random_multigraph(n, m, seed);
@@ -229,16 +241,14 @@ void test_expected_sites() {
   const auto batches = make_batches(g, 8);
   util::ThreadPool pool(1);
   {
-    Builder b(16, p, stream::Weighting::kUnweighted,
-              sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
+    Builder b(16, p, mode_opts(&pool, stream::Compaction::kBackground));
     for (const auto& batch : batches) b.ingest(batch);
     b.drain();
     CHECK(csr_bitwise_equal(b.adjacency(),
                             oracle_prefix(16, batches, batches.size())));
   }
   {
-    Sharded sb(16, 2, p, stream::Weighting::kUnweighted,
-               sparse::SpGemmAlgo::kAuto, nullptr, stream::Compaction::kInline);
+    Sharded sb(16, 2, p, mode_opts(nullptr, stream::Compaction::kInline));
     for (const auto& batch : batches) sb.ingest(batch);
   }
   {
@@ -376,37 +386,29 @@ void test_sweep() {
     const char* site = site_name.c_str();
     for (const Kind kind : {Kind::kError, Kind::kBadAlloc}) {
       {  // inline mode, single builder: strong guarantee end to end
-        Builder b(n, p, stream::Weighting::kUnweighted,
-                  sparse::SpGemmAlgo::kAuto, nullptr,
-                  stream::Compaction::kInline);
+        Builder b(n, p, mode_opts(nullptr, stream::Compaction::kInline));
         sweep_one(site, kind, false, true, b, batches, oracle_arm,
                   oracle_full, arm_at);
       }
       {  // background, deterministic (workerless pool)
-        Builder b(n, p, stream::Weighting::kUnweighted,
-                  sparse::SpGemmAlgo::kAuto, &workerless,
-                  stream::Compaction::kBackground);
+        Builder b(n, p,
+                  mode_opts(&workerless, stream::Compaction::kBackground));
         sweep_one(site, kind, true, true, b, batches, oracle_arm,
                   oracle_full, arm_at);
       }
       {  // background with real workers (concurrent timing)
-        Builder b(n, p, stream::Weighting::kUnweighted,
-                  sparse::SpGemmAlgo::kAuto, &workers,
-                  stream::Compaction::kBackground);
+        Builder b(n, p, mode_opts(&workers, stream::Compaction::kBackground));
         sweep_one(site, kind, true, false, b, batches, oracle_arm,
                   oracle_full, arm_at);
       }
       {  // sharded, inline: the two-phase cross-shard strong guarantee
-        Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-                   sparse::SpGemmAlgo::kAuto, nullptr,
-                   stream::Compaction::kInline);
+        Sharded sb(n, 3, p, mode_opts(nullptr, stream::Compaction::kInline));
         sweep_one(site, kind, false, true, sb, batches, oracle_arm,
                   oracle_full, arm_at);
       }
       {  // sharded, background, deterministic
-        Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-                   sparse::SpGemmAlgo::kAuto, &workerless,
-                   stream::Compaction::kBackground);
+        Sharded sb(n, 3, p,
+                   mode_opts(&workerless, stream::Compaction::kBackground));
         sweep_one(site, kind, true, true, sb, batches, oracle_arm,
                   oracle_full, arm_at);
       }
@@ -426,8 +428,7 @@ void test_repeated_background_failures() {
   auto& reg = Reg::instance();
   const char* site = "merge.count.scratch";
   const std::uint64_t fired_before = reg.fired(site);
-  Builder bg(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-             &workerless, stream::Compaction::kBackground);
+  Builder bg(n, p, mode_opts(&workerless, stream::Compaction::kBackground));
   std::uint64_t deliveries = 0;
   {
     util::ScopedFailpoint fp(site, Sched::always());
@@ -451,8 +452,7 @@ void test_repeated_background_failures() {
   // settles to byte parity with a clean inline-mode builder.
   bg.ingest(std::vector<graph::Edge>{});
   bg.drain();
-  Builder inl(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              nullptr, stream::Compaction::kInline);
+  Builder inl(n, p, mode_opts(nullptr, stream::Compaction::kInline));
   for (const auto& batch : batches) inl.ingest(batch);
   CHECK(csr_bitwise_equal(bg.adjacency(), inl.adjacency()));
   CHECK(csr_bitwise_equal(bg.adjacency(),
@@ -527,9 +527,8 @@ void test_destructor_error_contract() {
   const auto batches = make_batches(g, 16);  // 6 batches
   util::ThreadPool workerless(1);
   const auto mk = [&] {
-    return Builder(n, p, stream::Weighting::kUnweighted,
-                   sparse::SpGemmAlgo::kAuto, &workerless,
-                   stream::Compaction::kBackground);
+    return Builder(n, p,
+                   mode_opts(&workerless, stream::Compaction::kBackground));
   };
   {  // clean builder: nothing to dismiss, destructor quiet
     Builder b = mk();
@@ -644,26 +643,21 @@ void test_pending_error_window() {
   util::ThreadPool workerless(1);
   util::ThreadPool workers(3);
   {  // single builder, deterministic: the merge fails inside ingest
-    Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              &workerless, stream::Compaction::kBackground);
+    Builder b(n, p, mode_opts(&workerless, stream::Compaction::kBackground));
     pending_error_window_run(b, batches, true);
   }
   {  // single builder, real workers: the window opens asynchronously
-    Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              &workers, stream::Compaction::kBackground);
+    Builder b(n, p, mode_opts(&workers, stream::Compaction::kBackground));
     pending_error_window_run(b, batches, false);
   }
   {  // sharded: one shard fails, the fused snapshot reports it, the
      // rejected ingest leaves every shard at the old epoch
-    Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-               sparse::SpGemmAlgo::kAuto, &workerless,
-               stream::Compaction::kBackground);
+    Sharded sb(n, 3, p,
+               mode_opts(&workerless, stream::Compaction::kBackground));
     pending_error_window_run(sb, batches, true);
   }
   {  // sharded with real workers
-    Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-               sparse::SpGemmAlgo::kAuto, &workers,
-               stream::Compaction::kBackground);
+    Sharded sb(n, 3, p, mode_opts(&workers, stream::Compaction::kBackground));
     pending_error_window_run(sb, batches, false);
   }
 }
@@ -678,8 +672,7 @@ void test_backpressure_budget_zero() {
   const auto g = fail_graph(n, 200, 555);
   const auto batches = make_batches(g, 10);  // 20 batches
   util::ThreadPool pool(3);
-  Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-            &pool, stream::Compaction::kBackground, /*max_pending_merges=*/0);
+  Builder b(n, p, mode_opts(&pool, stream::Compaction::kBackground, 0));
   for (const auto& batch : batches) {
     b.ingest(batch);
     CHECK_EQ(b.stats().pending_merges, 0u);
@@ -696,9 +689,7 @@ void test_backpressure_sharded() {
   const auto g = fail_graph(n, 200, 777);
   const auto batches = make_batches(g, 10);
   util::ThreadPool pool(3);
-  Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-             sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground,
-             /*max_pending_merges=*/0);
+  Sharded sb(n, 3, p, mode_opts(&pool, stream::Compaction::kBackground, 0));
   for (const auto& batch : batches) {
     sb.ingest(batch);
     CHECK_EQ(sb.stats().pending_merges, 0u);
@@ -721,8 +712,7 @@ void test_submit_fallback_events() {
   auto& reg = Reg::instance();
   const char* site = "builder.background.submit";
   const std::uint64_t fired_before = reg.fired(site);
-  Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-            &workerless, stream::Compaction::kBackground);
+  Builder b(n, p, mode_opts(&workerless, stream::Compaction::kBackground));
   {
     util::ScopedFailpoint fp(site, Sched::always());
     for (const auto& batch : batches) b.ingest(batch);  // never throws
@@ -811,19 +801,16 @@ void test_soak() {
   const auto oracle_full = oracle_prefix(n, batches, batches.size());
   util::ThreadPool workerless(1);
   {
-    Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              nullptr, stream::Compaction::kInline);
+    Builder b(n, p, mode_opts(nullptr, stream::Compaction::kInline));
     soak_run(seed, b, batches, oracle_full);
   }
   {
-    Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              &workerless, stream::Compaction::kBackground);
+    Builder b(n, p, mode_opts(&workerless, stream::Compaction::kBackground));
     soak_run(seed + 101, b, batches, oracle_full);
   }
   {
-    Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-               sparse::SpGemmAlgo::kAuto, &workerless,
-               stream::Compaction::kBackground);
+    Sharded sb(n, 3, p,
+               mode_opts(&workerless, stream::Compaction::kBackground));
     soak_run(seed + 202, sb, batches, oracle_full);
   }
 }
@@ -840,8 +827,7 @@ void test_zero_cost_when_disabled() {
   const auto g = fail_graph(n, 80, 7);
   const auto batches = make_batches(g, 8);
   util::ThreadPool pool(2);
-  Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-            &pool, stream::Compaction::kBackground);
+  Builder b(n, p, mode_opts(&pool, stream::Compaction::kBackground));
   for (const auto& batch : batches) b.ingest(batch);
   b.drain();
   CHECK(csr_bitwise_equal(b.adjacency(),

@@ -164,15 +164,15 @@ void sweep_algebra(const P& p, stream::Weighting weighting, const char* name,
                   name, threads, shards,
                   static_cast<unsigned long long>(seed));
       util::ThreadPool pool(threads);
+      stream::Options opts;
+      opts.weighting = weighting;
+      opts.pool = &pool;
+      opts.compaction = stream::Compaction::kBackground;
       if (shards == 1) {
-        stream::AdjacencyBuilder<P> builder(
-            n, p, weighting, sparse::SpGemmAlgo::kAuto, &pool,
-            stream::Compaction::kBackground);
+        stream::AdjacencyBuilder<P> builder(n, p, opts);
         run_serve_config(p, builder, g.edges(), batch, oracles, readers);
       } else {
-        stream::ShardedBuilder<P> builder(
-            n, shards, p, weighting, sparse::SpGemmAlgo::kAuto, &pool,
-            stream::Compaction::kBackground);
+        stream::ShardedBuilder<P> builder(n, shards, p, opts);
         run_serve_config(p, builder, g.edges(), batch, oracles, readers);
       }
     }

@@ -80,12 +80,12 @@ void run_prefix_differential(const P& p, stream::Weighting weighting,
                              const graph::Graph& g, std::size_t batch,
                              std::size_t shards, util::ThreadPool* pool,
                              stream::Compaction compaction) {
-  stream::ShardedBuilder<P> sharded(g.num_vertices(), shards, p, weighting,
-                                    sparse::SpGemmAlgo::kAuto, pool,
-                                    compaction);
-  stream::AdjacencyBuilder<P> single(g.num_vertices(), p, weighting,
-                                     sparse::SpGemmAlgo::kAuto, pool,
-                                     compaction);
+  stream::Options opts;
+  opts.weighting = weighting;
+  opts.pool = pool;
+  opts.compaction = compaction;
+  stream::ShardedBuilder<P> sharded(g.num_vertices(), shards, p, opts);
+  stream::AdjacencyBuilder<P> single(g.num_vertices(), p, opts);
   const auto& edges = g.edges();
   graph::Graph prefix(g.num_vertices());
   for (std::size_t lo = 0; lo < edges.size(); lo += batch) {

@@ -39,6 +39,14 @@ namespace {
 
 using i2a::test::csr_bitwise_equal;
 
+stream::Options ladder_opts(stream::Weighting weighting,
+                            util::ThreadPool* pool = nullptr) {
+  stream::Options o;
+  o.weighting = weighting;
+  o.pool = pool;
+  return o;
+}
+
 /// Shared stream workload: a dense-ish multigraph (parallel edges and
 /// self-loops included — the paper's hard cases) with small-integer
 /// weights.
@@ -58,8 +66,8 @@ void run_differential(const P& p, stream::Weighting weighting,
                       const graph::Graph& g, index_t batch_size,
                       util::ThreadPool* pool,
                       const sparse::Csr<typename P::value_type>& oracle) {
-  stream::AdjacencyBuilder<P> builder(g.num_vertices(), p, weighting,
-                                      sparse::SpGemmAlgo::kAuto, pool);
+  stream::AdjacencyBuilder<P> builder(g.num_vertices(), p,
+                                      ladder_opts(weighting, pool));
   const auto& edges = g.edges();
   for (std::size_t lo = 0; lo < edges.size();
        lo += static_cast<std::size_t>(batch_size)) {
@@ -117,8 +125,7 @@ void test_prefix_snapshots() {
   const algebra::MinPlus<double> p;
   util::ThreadPool pool(4);
   stream::AdjacencyBuilder<algebra::MinPlus<double>> builder(
-      g.num_vertices(), p, stream::Weighting::kWeighted,
-      sparse::SpGemmAlgo::kAuto, &pool);
+      g.num_vertices(), p, ladder_opts(stream::Weighting::kWeighted, &pool));
   const auto& edges = g.edges();
   const std::size_t batch = 37;
   graph::Graph prefix(g.num_vertices());
@@ -217,7 +224,7 @@ void test_self_loops_and_parallel_edges_stream() {
   // must land on the diagonal.
   const algebra::MinPlus<double> p;
   stream::AdjacencyBuilder<algebra::MinPlus<double>> builder(
-      4, p, stream::Weighting::kWeighted);
+      4, p, ladder_opts(stream::Weighting::kWeighted));
   builder.ingest(std::vector<graph::Edge>{{0, 1, 5.0}, {2, 2, 1.0}});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 3.0}});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 8.0}});
@@ -259,8 +266,7 @@ void test_concurrent_ingest_snapshot() {
 
   util::ThreadPool pool(4);
   stream::AdjacencyBuilder<algebra::MinPlus<double>> builder(
-      g.num_vertices(), p, stream::Weighting::kWeighted,
-      sparse::SpGemmAlgo::kAuto, &pool);
+      g.num_vertices(), p, ladder_opts(stream::Weighting::kWeighted, &pool));
   std::mutex mu;            // orders every builder call
   std::size_t batches_done = 0;  // guarded by mu
   std::atomic<bool> done{false};

@@ -316,6 +316,13 @@ void test_submit_basics() {
   CHECK_EQ(max_chunk.load(), 0);
 }
 
+stream::Options background_opts(util::ThreadPool* pool) {
+  stream::Options o;
+  o.pool = pool;
+  o.compaction = stream::Compaction::kBackground;
+  return o;
+}
+
 void test_background_task_outlives_snapshot() {
   // Pin a snapshot, then trigger a background compaction over the very
   // runs it pins, and destroy the snapshot while the merge may still be
@@ -325,8 +332,7 @@ void test_background_task_outlives_snapshot() {
   const algebra::PlusTimes<double> p;
   util::ThreadPool pool(2);
   stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(
-      8, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto, &pool,
-      stream::Compaction::kBackground);
+      8, p, background_opts(&pool));
   graph::Graph all(8);
   const std::vector<graph::Edge> batches[] = {
       {{0, 1, 1.0}}, {{1, 2, 1.0}}, {{2, 3, 1.0}}, {{0, 1, 1.0}}};
@@ -352,8 +358,7 @@ void test_builder_destroyed_with_task_in_flight() {
   util::ThreadPool pool(2);
   {
     stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(
-        8, {}, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-        &pool, stream::Compaction::kBackground);
+        8, {}, background_opts(&pool));
     for (index_t i = 0; i < 6; ++i) {
       builder.ingest(std::vector<graph::Edge>{{i % 7, i % 7 + 1, 1.0}});
     }
@@ -375,9 +380,8 @@ void test_background_exception_surfaces() {
     double mul(double a, double b) const { return a * b; }
   };
   util::ThreadPool pool(2);
-  stream::AdjacencyBuilder<ThrowingPlusTimes> builder(
-      3, ThrowingPlusTimes{}, stream::Weighting::kUnweighted,
-      sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
+  stream::AdjacencyBuilder<ThrowingPlusTimes> builder(3, ThrowingPlusTimes{},
+                                                      background_opts(&pool));
   // Two batches with the same edge: staging never folds (one product per
   // entry), but the scheduled compaction folds (0,1) with (0,1) — Boom,
   // captured in the background task.

@@ -40,6 +40,7 @@
 #include "stream/adjacency_builder.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/pinned_snapshot.hpp"
+#include "stream/shard.hpp"
 #include "stream/sharded_builder.hpp"
 #include "stream/wal.hpp"
 #include "util/contract.hpp"
