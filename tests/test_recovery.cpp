@@ -567,6 +567,115 @@ void test_manifest_refusals() {
   CHECK(refused);
 }
 
+/// AdjacencyBuilder is ShardedBuilder at one shard: the same stream
+/// leaves byte-identical durable directories, and each type recovers the
+/// other's directory to the same bytes.
+void test_single_builder_is_one_shard() {
+  TempDir td;
+  const auto batches = trial_batches(151);
+  util::ThreadPool workerless(1);  // merges and checkpoints run in order
+  const auto opts = [&workerless](const std::string& dir) {
+    Options o = durable_opts(dir);
+    o.pool = &workerless;
+    o.compaction = stream::Compaction::kBackground;
+    o.checkpoint_every = 4;
+    o.wal_segment_bytes = 512;
+    return o;
+  };
+  const std::string single = td.path + "/single";
+  const std::string sharded = td.path + "/sharded";
+  {
+    Builder b(kN, PT{}, opts(single));
+    Sharded s(kN, 1, PT{}, opts(sharded));
+    for (const auto& batch : batches) {
+      b.ingest(batch);
+      s.ingest(batch);
+    }
+    b.drain();
+    s.drain();
+    CHECK(b.stats().checkpoints > 0);
+  }
+  const auto names = util::list_dir(single);
+  CHECK(names == util::list_dir(sharded));
+  for (const std::string& name : names) {
+    CHECK(util::read_file(single + "/" + name) ==
+          util::read_file(sharded + "/" + name));
+  }
+  const auto oracle = oracle_prefix(kN, batches, batches.size());
+  Sharded from_single = Sharded::recover(kN, 1, PT{}, opts(single));
+  Builder from_sharded = Builder::recover(kN, PT{}, opts(sharded));
+  CHECK_EQ(from_single.stats().batches, batches.size());
+  CHECK_EQ(from_sharded.stats().batches, batches.size());
+  CHECK(csr_bitwise_equal(from_single.adjacency(), oracle));
+  CHECK(csr_bitwise_equal(from_sharded.adjacency(), oracle));
+}
+
+/// A CRC-valid batch frame naming a vertex ≥ n is corrupt durable state:
+/// recover() refuses it with RecoveryError at one shard and at four,
+/// rather than letting ingest's std::out_of_range escape.
+void test_recover_refuses_out_of_range_endpoint() {
+  TempDir td;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    const std::string dir = td.path + "/s" + std::to_string(shards);
+    util::ensure_dir(dir);
+    {
+      const stream::WalManifest manifest{
+          stream::algebra_tag<PT>(), 8, static_cast<std::uint32_t>(shards),
+          static_cast<std::uint32_t>(stream::Weighting::kUnweighted)};
+      stream::Wal wal(dir, manifest, Durability::kFsyncEachBatch,
+                      /*segment_bytes=*/1 << 20, /*seqno=*/0,
+                      /*start_epoch=*/0);
+      const std::vector<graph::Edge> bad = {{8, 0, 1.0}};
+      wal.append(1, std::span<const graph::Edge>(bad.data(), bad.size()));
+    }
+    bool typed = false;
+    try {
+      if (shards == 1) {
+        Builder::recover(8, PT{}, durable_opts(dir));
+      } else {
+        Sharded::recover(8, shards, PT{}, durable_opts(dir));
+      }
+    } catch (const RecoveryError&) {
+      typed = true;
+    } catch (...) {
+    }
+    CHECK(typed);
+  }
+}
+
+/// A CRC-valid checkpoint run that is not a canonical CSR (row pointer
+/// not monotone, a column out of range) is corrupt: parse_checkpoint
+/// raises RecoveryError and the loader falls back to the older
+/// checkpoint.
+void test_checkpoint_rejects_non_canonical_run() {
+  TempDir td;
+  using Run = stream::CheckpointRun<double>;
+  const stream::WalManifest manifest{"test/8", 4, 1, 0};
+  const auto good = std::make_shared<const sparse::Csr<double>>(
+      4, 4, std::vector<index_t>{0, 1, 1, 1, 1}, std::vector<index_t>{2},
+      std::vector<double>{5.0});
+  const auto bad = std::make_shared<const sparse::Csr<double>>(
+      4, 4, std::vector<index_t>{0, 3, 1, 2, 2}, std::vector<index_t>{99, 1},
+      std::vector<double>{1.0, 2.0});
+  stream::write_checkpoint<double>(td.path, manifest, 1, {{Run{good, 1}}},
+                                   {1});
+  const std::string newest = stream::write_checkpoint<double>(
+      td.path, manifest, 2, {{Run{bad, 2}}}, {2});
+  bool typed = false;
+  try {
+    stream::parse_checkpoint<double>(newest, manifest);
+  } catch (const RecoveryError&) {
+    typed = true;
+  }
+  CHECK(typed);
+  const auto loaded = stream::load_newest_checkpoint<double>(td.path, manifest);
+  CHECK(loaded.has_value());
+  if (loaded) {
+    CHECK_EQ(loaded->epoch, 1u);
+    CHECK(csr_bitwise_equal(*loaded->shards[0][0].csr, *good));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Corruption matrix: truncation at/around every frame boundary, then a
 // bit-flip sweep, over both the WAL and a checkpoint. Every outcome must
@@ -1361,6 +1470,9 @@ int main(int argc, char** argv) {
   test_recover_with_checkpoint();
   test_sharded_recover();
   test_manifest_refusals();
+  test_single_builder_is_one_shard();
+  test_recover_refuses_out_of_range_endpoint();
+  test_checkpoint_rejects_non_canonical_run();
   test_corruption_truncation_matrix();
   test_corruption_sealed_segment_is_refused();
   test_corruption_bitflip_matrix();

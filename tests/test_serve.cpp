@@ -20,10 +20,12 @@
 /// as reassociation noise.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -179,9 +181,83 @@ void sweep_algebra(const P& p, stream::Weighting weighting, const char* name,
   }
 }
 
+/// +.* whose ⊕ blocks — at most 5 s — until a reader's snapshot() has
+/// returned. Staging a batch of distinct edges never calls ⊕; merging two
+/// runs that hold the same entry does.
+std::atomic<bool> g_merging{false};
+std::atomic<bool> g_pinned{false};
+std::atomic<bool> g_timed_out{false};
+
+struct GatedPlusTimes {
+  using value_type = double;
+  static constexpr std::string_view name() { return "+.* (gated)"; }
+  double zero() const { return 0.0; }
+  double one() const { return 1.0; }
+  double add(double a, double b) const {
+    g_merging.store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!g_pinned.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        g_timed_out.store(true);
+        break;
+      }
+      std::this_thread::yield();
+    }
+    return a + b;
+  }
+  double mul(double a, double b) const { return a * b; }
+};
+
+/// A pin never waits on a merge. On a workerless pool the background
+/// merge runs on the writer's thread inside ingest(); a reader pinning
+/// meanwhile must get the committed epoch while that merge is still
+/// blocked in ⊕.
+template <typename Builder>
+void check_pin_during_merge(Builder& builder) {
+  g_merging = false;
+  g_pinned = false;
+  g_timed_out = false;
+  const std::vector<graph::Edge> batch = {{0, 1, 1.0}};
+  builder.ingest(batch);
+  std::atomic<bool> writer_done{false};
+  std::uint64_t epoch = 0;
+  std::thread reader([&] {
+    while (!g_merging.load() && !writer_done.load()) {
+      std::this_thread::yield();
+    }
+    epoch = builder.snapshot().batches();
+    g_pinned.store(true);
+  });
+  builder.ingest(batch);  // schedules the merge of the two runs
+  writer_done.store(true);
+  reader.join();
+  CHECK(g_merging.load());
+  CHECK(!g_timed_out.load());
+  CHECK_EQ(epoch, 2u);
+  builder.drain();
+  CHECK_EQ(builder.adjacency().at(0, 1, 0.0), 2.0);
+}
+
+void test_pin_never_waits_on_merge() {
+  util::ThreadPool workerless(1);
+  stream::Options opts;
+  opts.pool = &workerless;
+  opts.compaction = stream::Compaction::kBackground;
+  {
+    stream::AdjacencyBuilder<GatedPlusTimes> builder(4, {}, opts);
+    check_pin_during_merge(builder);
+  }
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    stream::ShardedBuilder<GatedPlusTimes> builder(4, shards, {}, opts);
+    check_pin_during_merge(builder);
+  }
+}
+
 }  // namespace
 
 int main() {
+  test_pin_never_waits_on_merge();
   const std::uint64_t seed = serve_seed();
   sweep_algebra(algebra::PlusTimes<double>{}, stream::Weighting::kUnweighted,
                 "+.*", seed);
