@@ -573,6 +573,33 @@ void test_destructor_error_contract() {
   }
 }
 
+/// The same contract through a 3-shard front-end: background merge
+/// failures queued on several shards by one ingest are all counted by one
+/// dismiss_pending_errors(), after which destruction is quiet (asserted
+/// under I2A_CHECK_INVARIANTS).
+void test_sharded_dismiss_pending_errors() {
+  const PT p{};
+  const index_t n = 24;
+  const auto g = fail_graph(n, 96, 4242);
+  const auto batches = make_batches(g, 16);
+  util::ThreadPool workerless(1);
+  auto& reg = Reg::instance();
+  const char* site = "merge.count.scratch";
+  const std::uint64_t fired_before = reg.fired(site);
+  Sharded sb(n, 3, p, mode_opts(&workerless, stream::Compaction::kBackground));
+  sb.ingest(batches[0]);  // one run on every shard the batch reaches
+  {
+    util::ScopedFailpoint fp(site, Sched::always());
+    sb.ingest(batches[1]);  // each shard's merge fails and is queued
+  }
+  const std::uint64_t fires = reg.fired(site) - fired_before;
+  CHECK(fires >= 2);  // one merge per shard per publish: ≥ 2 shards
+  CHECK(sb.snapshot().pending_error() != nullptr);
+  CHECK_EQ(sb.dismiss_pending_errors(), fires);
+  CHECK(sb.snapshot().pending_error() == nullptr);
+  CHECK_EQ(sb.dismiss_pending_errors(), 0u);
+}
+
 /// The pending_error() interleaving the sweep only grazes: a snapshot
 /// pinned in the window *between* the error-queue push (the background
 /// merge failed) and the next ingest (the delivery point) must peek the
@@ -853,6 +880,7 @@ int main() {
   test_repeated_background_failures();
   test_scoped_rearm_nesting();
   test_destructor_error_contract();
+  test_sharded_dismiss_pending_errors();
   test_pending_error_window();
   test_backpressure_budget_zero();
   test_backpressure_sharded();
