@@ -3,7 +3,7 @@
 /// \brief Epoch-pinned, immutable view of a streaming builder's run-set:
 ///        the reader half of the concurrent serving core.
 ///
-/// A `PinnedSnapshot` is what `AdjacencyBuilder::snapshot()` hands a
+/// A `PinnedSnapshot` is what `ShardedBuilder::snapshot()` hands a
 /// query thread: the refcounted set of immutable CSR runs that were live
 /// at pin time (oldest first), plus the batch count they cover — its
 /// *epoch*. Pinning is O(live runs) shared_ptr copies under a lock held
@@ -20,12 +20,12 @@
 ///     serial rebuild over the covered batch prefix would produce. Right
 ///     for algorithms that sweep all rows repeatedly (PageRank,
 ///     triangles).
-///   * `fold_row()` / `for_each_in_row()` — merge one row across the
-///     pinned runs on the fly with the same cursor-frontier kernel the
-///     materializing merge uses, emitting (column, ⊕-folded value) in
-///     strictly increasing column order. Right for traversal algorithms
-///     that touch a sparse subset of rows (BFS) — no O(nnz) copy, no
-///     lock, no writer interaction.
+///   * `fold_row()` — merge one row across the pinned runs on the fly
+///     with the same cursor-frontier kernel the materializing merge
+///     uses, emitting (column, ⊕-folded value) in strictly increasing
+///     column order. Right for traversal algorithms that touch a sparse
+///     subset of rows (BFS) — no O(nnz) copy, no lock, no writer
+///     interaction.
 ///
 /// Both paths fold equal columns in run order = batch-age order, so a
 /// snapshot is semantically exactly the adjacency array of the batch
@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -91,21 +92,18 @@ class PinnedSnapshot {
   /// `std::rethrow_exception` it or merely flag degraded service.
   const std::exception_ptr& pending_error() const { return pending_error_; }
 
-  /// The pinned run handles, oldest first — what `ShardedBuilder`
-  /// concatenates across shards.
-  const std::vector<std::shared_ptr<const sparse::Csr<value_type>>>&
-  run_handles() const {
-    return owners_;
-  }
-
   RowScratch row_scratch() const { return RowScratch{}; }
 
   /// Merge row `r` across the pinned runs and call `emit(col, value)`
   /// once per stored column, strictly increasing, values ⊕-folded in
   /// batch-age order. Lock-free; safe from any number of threads as long
-  /// as each uses its own `scratch`.
+  /// as each uses its own `scratch`. Throws `std::out_of_range` for a
+  /// row outside [0, n), as `ingest` does for an endpoint.
   template <typename Emit>
   void fold_row(index_t r, RowScratch& scratch, const Emit& emit) const {
+    if (r < 0 || r >= n_) {
+      throw std::out_of_range("i2a::stream: fold_row: row out of range");
+    }
     if (ptrs_.empty()) return;
     sparse::detail::merge_row_k(
         ptrs_, r, scratch,
@@ -113,14 +111,6 @@ class PinnedSnapshot {
           return p_.add(x, y);
         },
         true, emit);
-  }
-
-  /// Convenience `fold_row` with throwaway scratch — fine for one-off
-  /// probes; traversal loops should hold a `RowScratch` instead.
-  template <typename Emit>
-  void for_each_in_row(index_t r, const Emit& emit) const {
-    RowScratch scratch;
-    fold_row(r, scratch, emit);
   }
 
   /// One k-way ⊕-merge of the pinned runs into a standalone CSR —

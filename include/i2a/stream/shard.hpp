@@ -1,15 +1,16 @@
 #pragma once
 /// \file stream/shard.hpp
-/// \brief The per-ladder core behind the streaming builders (internal;
-///        the public surface is `ShardedBuilder` / `AdjacencyBuilder`):
-///        one run-list ladder, its compaction policy and background
-///        compaction tasks, backpressure, snapshot pins and the
-///        deferred-error queue. A shard neither validates, routes nor
-///        logs — stream/sharded_builder.hpp does that once for all of
-///        them.
+/// \brief The state block behind the streaming builder (internal; the
+///        public surface is `ShardedBuilder` / `AdjacencyBuilder`): one
+///        refcounted `detail::State` per builder holding every shard's
+///        run-list ladder, the epoch, the deferred-error queue, the
+///        checkpoint token and the cost counters under one mutex, plus
+///        the compaction policy, backpressure and the background tasks
+///        that share the block. It neither validates, routes nor logs —
+///        stream/sharded_builder.hpp does that.
 ///
-/// **Run-list ladder.** A shard keeps a list of immutable refcounted CSR
-/// runs, oldest first, each the ⊕-fold of a consecutive interval of
+/// **Run-list ladder.** Each shard keeps a list of immutable refcounted
+/// CSR runs, oldest first, each the ⊕-fold of a consecutive interval of
 /// batches. After a batch's delta (weight 1) is appended, the
 /// *compaction policy* merges the maximal balanced suffix: the longest
 /// tail in which every run's weight is ≤ the combined weight of the runs
@@ -18,26 +19,30 @@
 /// O(log batches) times (DESIGN.md §7, §9). Age order is preserved end
 /// to end, so the ⊕-merge of the runs is byte-identical to a rebuild.
 ///
-/// **Concurrency.** `Ladder::mu` guards every ladder field (checked at
-/// compile time, DESIGN.md §11). A pin copies O(log batches) shared_ptrs
-/// under it; staging takes no lock; a merge works on private run handles
-/// and commits by pointer splice under it, so a reader never waits on a
-/// merge. `Compaction::kInline` settles a private copy of the run list
-/// inside the publish; `kBackground` hands the merge to the pool as a
-/// detached task that owns the ladder by shared_ptr (it may outlive the
-/// shard), splices when done and re-plans while a suffix qualifies.
+/// **Concurrency.** `State::mu` guards every mutable field (checked at
+/// compile time, DESIGN.md §11). Row shards share no data, only the
+/// epoch, so under the lock there are only splices, pins (O(live runs)
+/// shared_ptr copies), counter bumps and token flips; staging, merges,
+/// WAL appends and checkpoint writes run outside it, so a reader never
+/// waits on a merge. `Compaction::kInline` settles a private copy of
+/// each shard's run list inside the publish; `kBackground` hands one
+/// merge per shard to the pool as a detached task that owns the block by
+/// shared_ptr (it may outlive the builder), splices when done and
+/// re-chains the next merge as a fresh task — so one shard's carry chain
+/// never holds a worker that other shards' merges and the checkpoint
+/// wait for. At most one merge per shard is in flight.
 ///
 /// **Failures (DESIGN.md §10).** Everything fallible runs in
 /// `prepare_publish`; `commit_publish` is noexcept. A background merge or
-/// checkpoint failure has no caller to throw at, so it is queued: popped
-/// exactly once by the builder's `drain()` / `ingest()`, peeked by pins.
-/// A failed task submit runs the merge inline instead (absorbed, counted
-/// in `backpressure_events`).
+/// checkpoint failure has no caller to throw at, so it is queued in the
+/// builder's one error queue: popped oldest first, exactly once, by
+/// `drain()` / `ingest()`, peeked by pins. A failed task submit runs the
+/// task inline instead (absorbed, counted in `backpressure_events`).
 ///
 /// **Backpressure.** In background mode `max_pending_merges` caps the
-/// merges the policy still owes: over the cap, `backpressure()` waits out
-/// the in-flight task and, if still over, settles the ladder on the
-/// writer's thread.
+/// merges the policy still owes a shard: over the cap, `backpressure()`
+/// waits out that shard's in-flight task and, if still over, settles its
+/// ladder on the writer's thread.
 ///
 /// Canonical-CSR postconditions (`I2A_ENSURES`) hold for every run the
 /// ladder exposes — per-batch delta, inline merge or background merge.
@@ -136,224 +141,196 @@ struct BuilderStats {
 
 namespace detail {
 
+/// One builder's shared state. Heap-held and refcounted: the builder
+/// owns it (so the builder stays movable) and every background task
+/// holds it, so a task may outlive the builder. The configuration is
+/// fixed at construction and read without the lock; `mu` guards the rest.
 template <typename P>
   requires algebra::Semiring<P>
-class Shard {
- public:
+struct State : std::enable_shared_from_this<State<P>> {
   using value_type = typename P::value_type;
   using RunPtr = std::shared_ptr<const sparse::Csr<value_type>>;
   /// One immutable ladder run: the ⊕-fold of `weight` consecutive
   /// non-empty batches — exactly the unit a checkpoint stores.
   using Run = CheckpointRun<value_type>;
 
-  /// The staged-but-uncommitted half of a publish. `prepare_publish` does
-  /// everything that can throw; `commit_publish` consumes the result with
-  /// no fallible step, which is what lets the builder prepare every shard
-  /// first and then commit them all without risking a torn epoch.
+  /// One shard's ladder: only what is per-shard.
+  struct Ladder {
+    std::vector<Run> runs;    ///< oldest first, consecutive intervals
+    bool compacting = false;  ///< a merge holds this shard's token
+    std::uint64_t edges = 0;  ///< edges routed here (checkpoints store it)
+  };
+
+  /// One shard's staged-but-uncommitted half of a publish.
+  /// `prepare_publish` does everything that can throw; `commit_publish`
+  /// consumes the result with no fallible step, which is what lets the
+  /// builder prepare every shard first and then commit them all without
+  /// risking a torn epoch.
   struct Prepared {
-    bool inline_mode = false;
+    RunPtr delta;  ///< nullptr for an empty part (the ⊕-identity)
+    std::uint64_t delta_nnz = 0;
+    std::size_t edges = 0;
     std::vector<Run> runs;  ///< inline mode: the fully settled new list
     std::uint64_t compactions = 0;
     std::uint64_t merged_entries = 0;
-    RunPtr delta;  ///< background mode: appended (capacity reserved)
-    std::uint64_t delta_nnz = 0;
-    std::size_t batch_edges = 0;
   };
 
-  Shard(index_t num_vertices, const P& p, const Options& opts)
-      : n_(num_vertices), p_(p), weighting_(opts.weighting),
-        pool_(opts.pool),
-        compaction_(opts.pool != nullptr ? opts.compaction
-                                         : Compaction::kInline),
-        max_pending_merges_(opts.max_pending_merges),
-        ladder_(std::make_shared<Ladder>()) {}
+  State(index_t num_vertices, std::size_t shard_count, P pair,
+        const Options& opts)
+      : n(num_vertices), p(std::move(pair)), weighting(opts.weighting),
+        pool(opts.pool),
+        compaction(opts.pool != nullptr ? opts.compaction
+                                        : Compaction::kInline),
+        max_pending_merges(opts.max_pending_merges),
+        num_shards(shard_count), shards(shard_count) {}
 
-  Shard(const Shard&) = delete;
-  Shard& operator=(const Shard&) = delete;
-  Shard(Shard&&) noexcept = default;
+  const index_t n;
+  const P p;
+  const Weighting weighting;
+  util::ThreadPool* const pool;
+  const Compaction compaction;
+  const std::size_t max_pending_merges;
+  const std::size_t num_shards;
 
-  /// Destruction settles first: in-flight background work completes
-  /// (tasks share the ladder, and the pool outlives the builder), so no
-  /// error can arrive after the check. A queued failure nobody delivered
-  /// is an asserted contract violation in checked builds: the owner must
-  /// `drain()` (deliver) or `dismiss_pending_errors()` (discard) first.
-  ~Shard() {
-    if (!ladder_) return;  // moved-from
-    util::MutexLock lock(ladder_->mu);
-    settle_locked();
-    I2A_ASSERT(ladder_->errors.empty(),
-               "builder destroyed with undelivered background errors; "
-               "drain() or dismiss_pending_errors() first");
+  util::Mutex mu;
+  util::CondVar cv;  ///< signaled when a compaction or checkpoint ends
+  std::uint64_t epoch I2A_GUARDED_BY(mu) = 0;  ///< committed batches
+  std::vector<Ladder> shards I2A_GUARDED_BY(mu);
+  /// Queued background failures of every shard and the checkpoint,
+  /// oldest first; each is delivered exactly once (popped) and may be
+  /// peeked any number of times (pinned).
+  std::vector<std::exception_ptr> errors I2A_GUARDED_BY(mu);
+  /// True while a checkpoint is in flight.
+  bool checkpointing I2A_GUARDED_BY(mu) = false;
+  /// Builder-wide counters; `edges` and `pending_merges` are summed over
+  /// the shards and `batches` is the epoch, at `stats()` time.
+  BuilderStats stats I2A_GUARDED_BY(mu);
+
+  /// Block until no compaction (on any shard) or checkpoint is in flight.
+  void settle_locked() I2A_REQUIRES(mu) {
+    for (;;) {
+      bool busy = checkpointing;
+      for (const Ladder& l : shards) busy = busy || l.compacting;
+      if (!busy) return;
+      cv.wait(mu);
+    }
   }
 
-  /// Settle, then discard every queued failure; returns how many.
-  std::size_t dismiss_pending_errors() noexcept I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    settle_locked();
-    const std::size_t n = ladder_->errors.size();
-    ladder_->errors.clear();
-    return n;
+  /// How many merges the compaction policy still owes shard `s` —
+  /// simulated on the run weights alone (no data touched).
+  std::size_t pending_merges_locked(std::size_t s) const I2A_REQUIRES(mu) {
+    std::vector<std::uint64_t> w;
+    w.reserve(shards[s].runs.size());
+    for (const Run& r : shards[s].runs) w.push_back(r.weight);
+    std::size_t merges = 0;
+    for (auto [lo, hi] = plan_suffix(w); hi > lo;
+         std::tie(lo, hi) = plan_suffix(w)) {
+      std::uint64_t sum = 0;
+      for (std::size_t i = lo; i < hi; ++i) sum += w[i];
+      w.erase(w.begin() + static_cast<std::ptrdiff_t>(lo + 1),
+              w.begin() + static_cast<std::ptrdiff_t>(hi));
+      w[lo] = sum;
+      ++merges;
+    }
+    return merges;
   }
 
-  /// Block until no background compaction or checkpoint is in flight.
-  void settle() const I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    settle_locked();
-  }
-
-  /// Consume the oldest queued background failure (nullptr if none).
-  std::exception_ptr pop_error() const I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    if (ladder_->errors.empty()) return nullptr;
-    std::exception_ptr err = ladder_->errors.front();
-    ladder_->errors.erase(ladder_->errors.begin());
-    return err;
-  }
-
-  /// Append the live run handles (oldest first) to `out`; returns the
-  /// oldest queued failure, peeked, not consumed.
-  std::exception_ptr pin(std::vector<RunPtr>& out) const
-      I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    out.reserve(out.size() + ladder_->runs.size());
-    for (const Run& r : ladder_->runs) out.push_back(r.csr);
-    return ladder_->errors.empty() ? nullptr : ladder_->errors.front();
-  }
-
-  std::size_t num_runs() const I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    return ladder_->runs.size();
-  }
-
-  /// Cost counters, with the pending-merge debt computed now.
-  BuilderStats stats() const I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    BuilderStats s = ladder_->stats;
-    s.pending_merges = static_cast<std::uint64_t>(pending_merges_locked());
-    return s;
-  }
-
-  /// The run list and the edge counter as one consistent copy — what a
-  /// checkpoint of this shard serializes.
-  std::vector<Run> runs(std::uint64_t& edges) const
-      I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    edges = ladder_->stats.edges;
-    return ladder_->runs;
-  }
-
-  /// Install a checkpoint's run list into an untouched ladder.
-  void restore_runs(std::vector<Run>&& runs, std::uint64_t edges)
-      I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    I2A_EXPECTS(ladder_->runs.empty() && ladder_->stats.edges == 0,
-                "restore_runs: ladder already has state");
-    ladder_->runs = std::move(runs);
-    ladder_->stats.edges = edges;
-  }
-
-  /// Build a batch's delta adjacency with the sort-free incidence +
-  /// SpGEMM path. Touches no ladder state, so it runs lock-free. Returns
-  /// nullptr for an empty batch (the ⊕-identity contribution).
-  RunPtr stage(std::span<const graph::Edge> batch) const {
-    if (batch.empty()) return nullptr;
+  /// Build one shard's part of a batch into its delta adjacency with the
+  /// sort-free incidence + SpGEMM path. Touches no guarded state, so it
+  /// runs lock-free.
+  Prepared stage(std::span<const graph::Edge> part) const {
+    Prepared prep;
+    prep.edges = part.size();
+    if (part.empty()) return prep;
     // Injection site: the whole staging pipeline for a non-empty batch.
     // A fire here (or in the incidence/SpGEMM sites downstream) leaves
     // the ladder untouched — ingest's strong guarantee.
     I2A_FAILPOINT("builder.stage.batch");
-    graph::Graph g(n_);
-    g.edges().assign(batch.begin(), batch.end());
-    const auto inc = weighting_ == Weighting::kWeighted
-                         ? graph::weighted_incidence_arrays(g, p_, pool_)
-                         : graph::incidence_arrays(g, p_, pool_);
-    auto delta = graph::adjacency_array(p_, inc, sparse::SpGemmAlgo::kAuto,
-                                        pool_);
+    graph::Graph g(n);
+    g.edges().assign(part.begin(), part.end());
+    const auto inc = weighting == Weighting::kWeighted
+                         ? graph::weighted_incidence_arrays(g, p, pool)
+                         : graph::incidence_arrays(g, p, pool);
+    auto delta = graph::adjacency_array(p, inc, sparse::SpGemmAlgo::kAuto,
+                                        pool);
     I2A_ENSURES(delta.is_canonical(), "stream: staged delta not canonical");
-    return std::make_shared<const sparse::Csr<value_type>>(std::move(delta));
-  }
-
-  /// Phase 1 of a publish: everything fallible. Inline mode settles the
-  /// whole ladder on a private copy of the run list (concurrent readers
-  /// keep pinning the old list; a throwing ⊕ leaves runs and stats
-  /// untouched). Background mode only reserves what `commit_publish`
-  /// will need, so the commit's push_back cannot throw.
-  Prepared prepare_publish(RunPtr delta, std::size_t batch_edges)
-      I2A_EXCLUDES(ladder_->mu) {
-    Prepared prep;
-    prep.batch_edges = batch_edges;
-    prep.delta_nnz = static_cast<std::uint64_t>(delta ? delta->nnz() : 0);
-    if (compaction_ == Compaction::kInline) {
-      prep.inline_mode = true;
-      {
-        util::MutexLock lock(ladder_->mu);
-        prep.runs = ladder_->runs;
-      }
-      if (delta) prep.runs.push_back(Run{std::move(delta), 1});
-      settle_runs(prep.runs, prep.compactions, prep.merged_entries);
-    } else {
-      prep.delta = std::move(delta);
-      util::MutexLock lock(ladder_->mu);
-      ladder_->runs.reserve(ladder_->runs.size() + 1);
-      // One spare error slot, so a background task's failure report
-      // cannot itself die on allocation in the common case.
-      ladder_->errors.reserve(ladder_->errors.size() + 1);
-    }
+    prep.delta_nnz = static_cast<std::uint64_t>(delta.nnz());
+    prep.delta =
+        std::make_shared<const sparse::Csr<value_type>>(std::move(delta));
     return prep;
   }
 
-  /// Phase 2 of a publish: a splice plus counter bumps under the ladder
-  /// lock, with no fallible step (the lint rule `commit-noexcept` keeps
-  /// this declaration). Scheduling the merge it makes due is a separate
-  /// step, `schedule_compaction`.
-  void commit_publish(Prepared&& prep) noexcept I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    if (prep.inline_mode) {
-      ladder_->runs = std::move(prep.runs);
-      ladder_->stats.compactions += prep.compactions;
-      ladder_->stats.merged_entries += prep.merged_entries;
-    } else if (prep.delta) {
-      ladder_->runs.push_back(Run{std::move(prep.delta), 1});
+  /// Phase 1 of a publish: everything fallible. Inline mode settles each
+  /// shard on a private copy of its run list (concurrent readers keep
+  /// pinning the old lists; a throwing ⊕ leaves runs and stats
+  /// untouched). Background mode only reserves what `commit_publish`
+  /// will need, so the commit's push_back cannot throw.
+  void prepare_publish(std::vector<Prepared>& preps) I2A_EXCLUDES(mu) {
+    if (compaction == Compaction::kInline) {
+      {
+        util::MutexLock lock(mu);
+        for (std::size_t s = 0; s < num_shards; ++s) {
+          preps[s].runs = shards[s].runs;
+        }
+      }
+      for (Prepared& prep : preps) {
+        if (prep.delta) prep.runs.push_back(Run{std::move(prep.delta), 1});
+        settle_runs(prep.runs, prep.compactions, prep.merged_entries);
+      }
+      return;
     }
-    ladder_->stats.edges += prep.batch_edges;
-    ladder_->stats.delta_entries += prep.delta_nnz;
+    util::MutexLock lock(mu);
+    for (Ladder& l : shards) l.runs.reserve(l.runs.size() + 1);
+    // A spare error slot per shard, so a background task's failure
+    // report cannot itself die on allocation in the common case.
+    errors.reserve(errors.size() + num_shards);
   }
 
-  /// Background mode, after a commit: plan the due merge and hand it to
-  /// the pool. The caller holds no builder lock — a workerless pool runs
-  /// the task right here, and a reader must not wait on it. A failed
-  /// plan parks the chain (the next publish replans); a failed submit
-  /// runs the task inline (absorbed, counted in `backpressure_events`).
-  /// Never throws: the batch is already committed.
+  /// Phase 2 of a publish: every shard's splice, the counter bumps and
+  /// the new epoch in one critical section, with no fallible step (the
+  /// lint rule `commit-noexcept` keeps this declaration), so a pin sees
+  /// every shard at the same epoch. Scheduling the merges it makes due
+  /// is a separate step, `schedule_compaction`.
+  void commit_publish(std::vector<Prepared>& preps,
+                      std::uint64_t new_epoch) noexcept I2A_EXCLUDES(mu) {
+    util::MutexLock lock(mu);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      Prepared& prep = preps[s];
+      if (compaction == Compaction::kInline) {
+        shards[s].runs = std::move(prep.runs);
+        stats.compactions += prep.compactions;
+        stats.merged_entries += prep.merged_entries;
+      } else if (prep.delta) {
+        shards[s].runs.push_back(Run{std::move(prep.delta), 1});
+      }
+      shards[s].edges += prep.edges;
+      stats.delta_entries += prep.delta_nnz;
+    }
+    epoch = new_epoch;
+  }
+
+  /// Hand `task` to the pool. No pool, or a failed submit — absorbed,
+  /// counted in `backpressure_events` — runs it on this thread instead.
+  /// The `builder.background.submit` site is evaluated for compaction
+  /// tasks only.
+  template <typename Task>
   // NOLINTNEXTLINE(bugprone-exception-escape): every throw below is caught
   // at an absorb boundary documented in DESIGN.md §10.
-  void schedule_compaction() noexcept I2A_EXCLUDES(ladder_->mu) {
-    if (compaction_ != Compaction::kBackground) return;
-    std::function<void()> task;
-    {
-      util::MutexLock lock(ladder_->mu);
+  void submit_or_run(const Task& task, bool is_compaction) noexcept
+      I2A_EXCLUDES(mu) {
+    if (pool != nullptr) {
       try {
-        task = plan_task_locked(ladder_, pool_, p_);
+        // Injection site: handing a compaction task to the pool. A fire
+        // (or a real queue-allocation failure) must not lose the merge:
+        // it runs inline below instead.
+        if (is_compaction) I2A_FAILPOINT("builder.background.submit");
+        // A copy: submit may consume its argument even when it throws.
+        pool->submit(std::function<void()>(task));
+        return;
       } catch (...) {
-        // Planning allocates (group copy, std::function); the token was
-        // never taken, so the chain parks until the next publish.
+        util::MutexLock lock(mu);
+        ++stats.backpressure_events;
       }
-    }
-    if (!task) return;
-    bool fallback = false;
-    try {
-      // Injection site: handing the compaction task to the pool. A fire
-      // (or a real queue-allocation failure) must not lose the merge:
-      // it runs inline below instead.
-      I2A_FAILPOINT("builder.background.submit");
-      auto backup = task;  // submit may consume its argument even on throw
-      pool_->submit(std::move(backup));
-    } catch (...) {
-      fallback = true;
-    }
-    if (!fallback) return;
-    {
-      util::MutexLock lock(ladder_->mu);
-      ++ladder_->stats.backpressure_events;
     }
     try {
       task();  // the task body queues its own failures
@@ -363,22 +340,44 @@ class Shard {
     }
   }
 
-  /// Post-publish backpressure (background mode with a bounded
-  /// `max_pending_merges` only): over budget, the writer stalls — one
-  /// `backpressure_events` tick — waits out the in-flight task, and if
-  /// still over budget claims the compaction token and settles the
-  /// ladder on this thread. A merge failure here is queued (the batch is
-  /// already consumed); the old run list stays.
-  void backpressure() I2A_EXCLUDES(ladder_->mu) {
-    if (compaction_ != Compaction::kBackground) return;
-    if (max_pending_merges_ == kUnboundedPendingMerges) return;
-    util::MutexLock lock(ladder_->mu);
-    if (pending_merges_locked() <= max_pending_merges_) return;
-    ++ladder_->stats.backpressure_events;
-    while (ladder_->compacting) ladder_->cv.wait(ladder_->mu);
-    if (pending_merges_locked() <= max_pending_merges_) return;
-    ladder_->compacting = true;
-    std::vector<Run> runs = ladder_->runs;
+  /// Background mode, after a commit: plan shard `s`'s due merge and hand
+  /// it to the pool. The caller holds no lock — a workerless pool runs
+  /// the task right here, and a reader must not wait on it. A failed
+  /// plan parks the chain (the next publish replans). Never throws: the
+  /// batch is already committed.
+  // NOLINTNEXTLINE(bugprone-exception-escape): every throw below is caught
+  // at an absorb boundary documented in DESIGN.md §10.
+  void schedule_compaction(std::size_t s) noexcept I2A_EXCLUDES(mu) {
+    if (compaction != Compaction::kBackground) return;
+    std::function<void()> task;
+    {
+      util::MutexLock lock(mu);
+      try {
+        task = plan_task_locked(s);
+      } catch (...) {
+        // Planning allocates (group copy, std::function); the token was
+        // never taken, so the chain parks until the next publish.
+      }
+    }
+    if (task) submit_or_run(task, /*is_compaction=*/true);
+  }
+
+  /// Post-publish backpressure on shard `s` (background mode with a
+  /// bounded `max_pending_merges` only): over budget, the writer stalls —
+  /// one `backpressure_events` tick — waits out the shard's in-flight
+  /// task, and if still over budget claims the compaction token and
+  /// settles the ladder on this thread. A merge failure here is queued
+  /// (the batch is already consumed); the old run list stays.
+  void backpressure(std::size_t s) I2A_EXCLUDES(mu) {
+    if (compaction != Compaction::kBackground) return;
+    if (max_pending_merges == kUnboundedPendingMerges) return;
+    util::MutexLock lock(mu);
+    if (pending_merges_locked(s) <= max_pending_merges) return;
+    ++stats.backpressure_events;
+    while (shards[s].compacting) cv.wait(mu);
+    if (pending_merges_locked(s) <= max_pending_merges) return;
+    std::vector<Run> runs = shards[s].runs;
+    shards[s].compacting = true;
     lock.unlock();
     std::uint64_t compactions = 0;
     std::uint64_t merged_entries = 0;
@@ -393,35 +392,43 @@ class Shard {
     }
     lock.lock();
     if (!failure) {
-      ladder_->runs = std::move(runs);
-      ladder_->stats.compactions += compactions;
-      ladder_->stats.merged_entries += merged_entries;
+      shards[s].runs = std::move(runs);
+      stats.compactions += compactions;
+      stats.merged_entries += merged_entries;
     } else {
-      ladder_->errors.push_back(failure);
+      errors.push_back(failure);
     }
-    ladder_->compacting = false;
+    shards[s].compacting = false;
     lock.unlock();
-    ladder_->cv.notify_all();
+    cv.notify_all();
   }
 
-  /// Claim the checkpoint token; false while a checkpoint is in flight.
-  bool try_claim_checkpoint() noexcept I2A_EXCLUDES(ladder_->mu) {
-    util::MutexLock lock(ladder_->mu);
-    if (ladder_->checkpointing) return false;
-    ladder_->checkpointing = true;
+  /// At a checkpoint boundary: unless a checkpoint is in flight, copy
+  /// every shard's run list and edge counter — one consistent cut at the
+  /// current epoch — and take the checkpoint token. False, with nothing
+  /// copied, while the token is taken; a throwing copy leaves it free.
+  bool claim_checkpoint(std::vector<std::vector<Run>>& runs,
+                        std::vector<std::uint64_t>& edges) I2A_EXCLUDES(mu) {
+    util::MutexLock lock(mu);
+    if (checkpointing) return false;
+    for (const Ladder& l : shards) {
+      runs.push_back(l.runs);
+      edges.push_back(l.edges);
+    }
+    checkpointing = true;
     return true;
   }
 
   /// Run `write` (a checkpoint) on the pool under the token
-  /// `try_claim_checkpoint` handed out. The task releases the token,
-  /// counts a success in `Stats::checkpoints` and queues a failure as a
-  /// deferred error — the batch that crossed the boundary is already
-  /// committed. It shares the ladder, so it may outlive the shard, and
-  /// `settle()` waits for it. No pool, or a failed submit (absorbed,
-  /// counted in `backpressure_events`), runs it inline.
-  void run_checkpoint(std::function<void()> write) noexcept
-      I2A_EXCLUDES(ladder_->mu) {
-    auto task = [lad = ladder_, write = std::move(write)] {
+  /// `claim_checkpoint` took. The task releases the token, counts a
+  /// success in `Stats::checkpoints` and queues a failure as a deferred
+  /// error — the batch that crossed the boundary is already committed.
+  /// It shares the state, so it may outlive the builder, and a settle
+  /// waits for it. `Write` must be nothrow-movable: from the token to
+  /// the task nothing may throw.
+  template <typename Write>
+  void run_checkpoint(Write write) noexcept I2A_EXCLUDES(mu) {
+    auto task = [st = this->shared_from_this(), write = std::move(write)] {
       std::exception_ptr failure;
       try {
         write();
@@ -429,12 +436,12 @@ class Shard {
         failure = std::current_exception();
       }
       {
-        util::MutexLock lock(lad->mu);
+        util::MutexLock lock(st->mu);
         if (!failure) {
-          ++lad->stats.checkpoints;
+          ++st->stats.checkpoints;
         } else {
           try {
-            lad->errors.push_back(failure);
+            st->errors.push_back(failure);
           } catch (...) {
             // Reporting failed on allocation. The token must still be
             // released, so the failure is dropped; the failed checkpoint
@@ -442,66 +449,11 @@ class Shard {
             // inconsistent.
           }
         }
-        lad->checkpointing = false;
+        st->checkpointing = false;
       }
-      lad->cv.notify_all();
+      st->cv.notify_all();
     };
-    bool fallback = pool_ == nullptr;
-    if (!fallback) {
-      try {
-        auto backup = task;  // submit may consume its argument on throw
-        pool_->submit(std::move(backup));
-      } catch (...) {
-        fallback = true;
-        util::MutexLock lock(ladder_->mu);
-        ++ladder_->stats.backpressure_events;
-      }
-    }
-    if (fallback) task();
-  }
-
- private:
-  /// Shared ladder state. Refcounted so background tasks can outlive the
-  /// shard object; `mu` guards every member.
-  struct Ladder {
-    mutable util::Mutex mu;
-    util::CondVar cv;  ///< signaled when a compaction or checkpoint ends
-    /// Run list, oldest first, consecutive intervals.
-    std::vector<Run> runs I2A_GUARDED_BY(mu);
-    BuilderStats stats I2A_GUARDED_BY(mu);
-    /// True while a compaction holds the token.
-    bool compacting I2A_GUARDED_BY(mu) = false;
-    /// True while a checkpoint is in flight (the builder parks its one
-    /// token on shard 0).
-    bool checkpointing I2A_GUARDED_BY(mu) = false;
-    /// Queued background failures, oldest first; each is delivered
-    /// exactly once (pop) and may be peeked any number of times (pin).
-    std::vector<std::exception_ptr> errors I2A_GUARDED_BY(mu);
-  };
-
-  void settle_locked() const I2A_REQUIRES(ladder_->mu) {
-    while (ladder_->compacting || ladder_->checkpointing) {
-      ladder_->cv.wait(ladder_->mu);
-    }
-  }
-
-  /// How many merges the compaction policy still owes on the current
-  /// run list — simulated on the weights alone (no data touched).
-  std::size_t pending_merges_locked() const I2A_REQUIRES(ladder_->mu) {
-    std::vector<std::uint64_t> w;
-    w.reserve(ladder_->runs.size());
-    for (const Run& r : ladder_->runs) w.push_back(r.weight);
-    std::size_t merges = 0;
-    for (auto [lo, hi] = plan_suffix(w); hi > lo;
-         std::tie(lo, hi) = plan_suffix(w)) {
-      std::uint64_t sum = 0;
-      for (std::size_t i = lo; i < hi; ++i) sum += w[i];
-      w.erase(w.begin() + static_cast<std::ptrdiff_t>(lo + 1),
-              w.begin() + static_cast<std::ptrdiff_t>(hi));
-      w[lo] = sum;
-      ++merges;
-    }
-    return merges;
+    submit_or_run(task, /*is_compaction=*/false);
   }
 
   /// Run the compaction policy to a fixed point on a private run list,
@@ -511,7 +463,7 @@ class Shard {
                    std::uint64_t& merged_entries) const {
     for (auto [lo, hi] = plan_suffix(runs); hi > lo;
          std::tie(lo, hi) = plan_suffix(runs)) {
-      Run merged = merge_group(runs, lo, hi, p_, pool_);
+      Run merged = merge_group(runs, lo, hi, pool);
       // Injection site: between a finished merge and its splice — the
       // failure has paid the merge cost but must not corrupt the list.
       I2A_FAILPOINT("builder.ladder.splice");
@@ -544,11 +496,10 @@ class Shard {
   }
 
   /// k-way ⊕-merge of runs[lo, hi), oldest first. Background tasks pass
-  /// pool == nullptr: the merge is pool-size invariant, and a detached
-  /// task must not fan back into the pool it occupies.
-  static Run merge_group(const std::vector<Run>& runs, std::size_t lo,
-                         std::size_t hi, const P& p,
-                         util::ThreadPool* pool) {
+  /// `merge_pool` == nullptr: the merge is pool-size invariant, and a
+  /// detached task must not fan back into the pool it occupies.
+  Run merge_group(const std::vector<Run>& runs, std::size_t lo,
+                  std::size_t hi, util::ThreadPool* merge_pool) const {
     std::vector<const sparse::Csr<value_type>*> group;
     group.reserve(hi - lo);
     std::uint64_t weight = 0;
@@ -558,10 +509,10 @@ class Shard {
     }
     auto merged = sparse::merge_add_k(
         group,
-        [&p](const value_type& x, const value_type& y) {
+        [this](const value_type& x, const value_type& y) {
           return p.add(x, y);
         },
-        pool);
+        merge_pool);
     I2A_ENSURES(merged.is_canonical(),
                 "stream: compaction produced non-canonical run");
     return Run{std::make_shared<const sparse::Csr<value_type>>(
@@ -569,30 +520,28 @@ class Shard {
                weight};
   }
 
-  /// Under the ladder lock: if no merge is in flight and a suffix
-  /// qualifies, take the compaction token and return the task that
-  /// performs the merge. The task owns the ladder, captures the group's
+  /// Under the lock: if shard `s` has no merge in flight and a suffix
+  /// qualifies, take its compaction token and return the task that
+  /// performs the merge. The task owns the state, captures the group's
   /// run handles by value (indices stay valid: the writer only appends
-  /// and only this task replaces), and re-plans on completion so carry
-  /// chains keep compacting without the writer. All allocation happens
-  /// before the token is taken, so a throw leaves the ladder unclaimed.
-  static std::function<void()> plan_task_locked(std::shared_ptr<Ladder> lad,
-                                                util::ThreadPool* pool, P p)
-      I2A_REQUIRES(lad->mu) {
-    if (lad->compacting) return nullptr;
-    const auto [lo, hi] = plan_suffix(lad->runs);
+  /// and only this task replaces), merges once, splices, and re-chains
+  /// the next due merge as a fresh task. All allocation happens before
+  /// the token is taken, so a throw leaves the shard unclaimed.
+  std::function<void()> plan_task_locked(std::size_t s) I2A_REQUIRES(mu) {
+    if (shards[s].compacting) return nullptr;
+    const std::vector<Run>& runs = shards[s].runs;
+    const auto [lo, hi] = plan_suffix(runs);
     if (hi <= lo) return nullptr;
-    std::vector<Run> group(lad->runs.begin() + static_cast<std::ptrdiff_t>(lo),
-                           lad->runs.begin() + static_cast<std::ptrdiff_t>(hi));
-    std::function<void()> task =
-        [lad, pool, p = std::move(p), group = std::move(group), lo,
-         hi]() mutable {
+    std::vector<Run> group(runs.begin() + static_cast<std::ptrdiff_t>(lo),
+                           runs.begin() + static_cast<std::ptrdiff_t>(hi));
+    std::function<void()> task = [st = this->shared_from_this(), s,
+                                  group = std::move(group), lo, hi] {
       // The merge runs unlocked; its outcome is committed under one
       // locked scope so no lock operation sits on an exceptional edge.
       Run merged{};
       std::exception_ptr failure;
       try {
-        merged = merge_group(group, 0, group.size(), p, nullptr);
+        merged = st->merge_group(group, 0, group.size(), nullptr);
         // Injection site: the background twin of the inline splice site.
         I2A_FAILPOINT("builder.ladder.splice");
       } catch (...) {
@@ -600,18 +549,18 @@ class Shard {
       }
       std::function<void()> next;
       {
-        util::MutexLock lock(lad->mu);
+        util::MutexLock lock(st->mu);
+        Ladder& l = st->shards[s];
         if (!failure) {
-          lad->runs.erase(
-              lad->runs.begin() + static_cast<std::ptrdiff_t>(lo + 1),
-              lad->runs.begin() + static_cast<std::ptrdiff_t>(hi));
-          lad->runs[lo] = std::move(merged);
-          ++lad->stats.compactions;
-          lad->stats.merged_entries +=
-              static_cast<std::uint64_t>(lad->runs[lo].csr->nnz());
-          lad->compacting = false;
+          l.runs.erase(l.runs.begin() + static_cast<std::ptrdiff_t>(lo + 1),
+                       l.runs.begin() + static_cast<std::ptrdiff_t>(hi));
+          l.runs[lo] = std::move(merged);
+          ++st->stats.compactions;
+          st->stats.merged_entries +=
+              static_cast<std::uint64_t>(l.runs[lo].csr->nnz());
+          l.compacting = false;
           try {
-            next = plan_task_locked(lad, pool, p);
+            next = st->plan_task_locked(s);
           } catch (...) {
             // Replanning failed to allocate: the chain parks (token
             // free) and the next publish replans. No work is lost.
@@ -621,34 +570,26 @@ class Shard {
           // push_back is the one spot where reporting can itself fail on
           // allocation (prepare reserves a spare slot); an escape lands
           // in the pool's submit-error slot, never std::terminate.
-          lad->errors.push_back(failure);
-          lad->compacting = false;
+          st->errors.push_back(failure);
+          l.compacting = false;
         }
-        lad->cv.notify_all();
+        st->cv.notify_all();
       }
       if (next) {
         try {
-          pool->submit(std::move(next));
+          st->pool->submit(std::move(next));
         } catch (...) {
           // Re-chain submit failed: release the token the replan took
           // and park — the next publish replans the same suffix.
-          util::MutexLock lock(lad->mu);
-          lad->compacting = false;
-          lad->cv.notify_all();
+          util::MutexLock lock(st->mu);
+          st->shards[s].compacting = false;
+          st->cv.notify_all();
         }
       }
     };
-    lad->compacting = true;  // only after every fallible step above
+    shards[s].compacting = true;  // only after every fallible step above
     return task;
   }
-
-  index_t n_;
-  P p_;
-  Weighting weighting_;
-  util::ThreadPool* pool_;
-  Compaction compaction_;
-  std::size_t max_pending_merges_;
-  std::shared_ptr<Ladder> ladder_;
 };
 
 }  // namespace detail

@@ -25,19 +25,21 @@
 /// are externally serialized; `snapshot`, `adjacency`, `stats`,
 /// `num_levels`, `drain` and `dismiss_pending_errors` are safe from any
 /// thread concurrently with the writer and background work (test_serve,
-/// under TSan). One coordination mutex makes (commit to every shard)
-/// and (pin every shard) atomic with respect to each other, so a
-/// snapshot always covers the same batch prefix on every shard. It
-/// covers noexcept splices only: staging and inline merges run before
+/// under TSan). All of them share the one mutex of the builder's state
+/// block (stream/shard.hpp), so (commit every shard) and (pin every
+/// shard) are atomic with respect to each other and a snapshot always
+/// covers the same batch prefix on every shard. The lock covers noexcept
+/// splices, pins and counters only: staging and inline merges run before
 /// it is taken, background merges are scheduled after it is released.
 ///
 /// **Failures (DESIGN.md §10).** `ingest` gives the strong guarantee:
 /// validation, a pending deferred error, staging, inline merges and the
-/// WAL append all happen before the first shard commits, and commits
-/// cannot fail — either every shard advances or none does. Background
-/// merge and checkpoint failures are queued and delivered exactly once,
-/// by `drain()` or the next `ingest()` (before it consumes its batch);
-/// `snapshot()` only peeks the oldest into `pending_error()`.
+/// WAL append all happen before the commit, and the commit cannot fail —
+/// either every shard advances or none does. Background merge and
+/// checkpoint failures of every shard go to one queue and are delivered
+/// exactly once, oldest first, by `drain()` or the next `ingest()`
+/// (before it consumes its batch); `snapshot()` only peeks the oldest
+/// into `pending_error()`.
 ///
 /// **Durability (DESIGN.md §12).** With `Options::wal_dir` set, each
 /// acknowledged batch is one WAL frame, logged once and un-routed (the
@@ -50,11 +52,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -66,11 +68,11 @@
 #include "stream/pinned_snapshot.hpp"
 #include "stream/shard.hpp"
 #include "stream/wal.hpp"
+#include "util/contract.hpp"
 #include "util/failpoint.hpp"
 #include "util/io.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace i2a::stream {
 
@@ -81,7 +83,7 @@ namespace i2a::stream {
 template <typename P>
   requires algebra::Semiring<P>
 class ShardedBuilder {
-  using Shard = detail::Shard<P>;
+  using State = detail::State<P>;
 
  public:
   using value_type = typename P::value_type;
@@ -92,19 +94,15 @@ class ShardedBuilder {
   /// `recover()`).
   ShardedBuilder(index_t num_vertices, std::size_t num_shards, P p = P{},
                  const Options& opts = {})
-      : n_(num_vertices), p_(std::move(p)), pool_(opts.pool),
+      : st_(std::make_shared<State>(num_vertices, num_shards, std::move(p),
+                                    opts)),
         manifest_{algebra_tag<P>(), static_cast<std::uint64_t>(num_vertices),
                   static_cast<std::uint32_t>(num_shards),
-                  static_cast<std::uint32_t>(opts.weighting)},
-        coord_(std::make_unique<Coord>()) {
+                  static_cast<std::uint32_t>(opts.weighting)} {
     if (num_vertices < 0) {
       throw std::invalid_argument("i2a::stream: negative vertex count");
     }
     if (num_shards == 0) throw std::invalid_argument("i2a::stream: 0 shards");
-    shards_.reserve(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      shards_.emplace_back(num_vertices, p_, opts);
-    }
     if (!opts.wal_dir.empty()) {
       util::ensure_dir(opts.wal_dir);
       require_no_durable_state(opts.wal_dir);
@@ -134,11 +132,12 @@ class ShardedBuilder {
     if (auto ckpt = load_newest_checkpoint<value_type>(opts.wal_dir,
                                                        b.manifest_)) {
       start = ckpt->epoch;
-      for (std::size_t s = 0; s < b.shards_.size(); ++s) {
-        b.shards_[s].restore_runs(std::move(ckpt->shards[s]), ckpt->edges[s]);
+      util::MutexLock lock(b.st_->mu);
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        b.st_->shards[s].runs = std::move(ckpt->shards[s]);
+        b.st_->shards[s].edges = ckpt->edges[s];
       }
-      util::MutexLock lock(b.coord_->mu);
-      b.coord_->epoch = start;
+      b.st_->epoch = start;
     }
     const WalReplayStats replayed = replay_wal(
         opts.wal_dir, b.manifest_, start,
@@ -156,17 +155,31 @@ class ShardedBuilder {
   ShardedBuilder& operator=(const ShardedBuilder&) = delete;
   ShardedBuilder(ShardedBuilder&&) noexcept = default;
 
-  index_t num_vertices() const { return n_; }
-  std::size_t num_shards() const { return shards_.size(); }
+  /// Destruction settles first: in-flight background work completes
+  /// (tasks share the state, and the pool outlives the builder), so no
+  /// error can arrive after the check. A queued failure nobody delivered
+  /// is an asserted contract violation in checked builds: the owner must
+  /// `drain()` (deliver) or `dismiss_pending_errors()` (discard) first.
+  ~ShardedBuilder() {
+    if (!st_) return;  // moved-from
+    util::MutexLock lock(st_->mu);
+    st_->settle_locked();
+    I2A_ASSERT(st_->errors.empty(),
+               "builder destroyed with undelivered background errors; "
+               "drain() or dismiss_pending_errors() first");
+  }
+
+  index_t num_vertices() const { return st_->n; }
+  std::size_t num_shards() const { return st_->num_shards; }
 
   /// Which shard owns source vertex `src` (and adjacency row `src`).
   std::size_t shard_of(index_t src) const {
-    return shard_index(src, shards_.size());
+    return shard_index(src, st_->num_shards);
   }
 
   /// Ingest one batch: deliver a pending background failure, validate,
   /// route, stage and *prepare* every shard (no lock), log the batch,
-  /// *commit* every shard under the coordination mutex, then schedule
+  /// *commit* every shard in one critical section, then schedule
   /// background merges, a checkpoint and backpressure. Every shard
   /// commits every batch — one the batch sends no edges to commits an
   /// empty delta — so shard epochs stay in lockstep.
@@ -175,15 +188,16 @@ class ShardedBuilder {
   /// the builder (runs, stats, epoch, log) is unchanged. Under
   /// `Durability::kFsyncEachBatch` a normal return means the batch is on
   /// stable storage.
-  void ingest(std::span<const graph::Edge> batch) I2A_EXCLUDES(coord_->mu) {
+  void ingest(std::span<const graph::Edge> batch) I2A_EXCLUDES(st_->mu) {
     rethrow_pending_error();
+    const index_t n = st_->n;
     for (const graph::Edge& e : batch) {
-      if (e.src < 0 || e.src >= n_ || e.dst < 0 || e.dst >= n_) {
+      if (e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n) {
         throw std::out_of_range("i2a::stream: ingest: edge endpoint "
                                 "out of range");
       }
     }
-    const std::size_t k = shards_.size();
+    const std::size_t k = st_->num_shards;
     std::vector<std::vector<graph::Edge>> routed;
     if (k > 1) {
       routed.resize(k);
@@ -191,28 +205,21 @@ class ShardedBuilder {
         routed[shard_index(e.src, k)].push_back(e);
       }
     }
-    std::vector<typename Shard::Prepared> preps;
+    std::vector<typename State::Prepared> preps;
     preps.reserve(k);
     for (std::size_t s = 0; s < k; ++s) {
-      const std::span<const graph::Edge> part =
-          k == 1 ? batch : std::span<const graph::Edge>(routed[s]);
-      preps.push_back(
-          shards_[s].prepare_publish(shards_[s].stage(part), part.size()));
+      preps.push_back(st_->stage(
+          k == 1 ? batch : std::span<const graph::Edge>(routed[s])));
     }
+    st_->prepare_publish(preps);
     const std::uint64_t epoch = this->epoch() + 1;
     // The last fallible step; its rollback on failure extends the strong
     // guarantee across the log and the ladders together.
     if (wal_) wal_->append(epoch, batch);
-    {
-      util::MutexLock lock(coord_->mu);
-      for (std::size_t s = 0; s < k; ++s) {
-        shards_[s].commit_publish(std::move(preps[s]));
-      }
-      coord_->epoch = epoch;
-    }
-    for (Shard& shard : shards_) shard.schedule_compaction();
+    st_->commit_publish(preps, epoch);
+    for (std::size_t s = 0; s < k; ++s) st_->schedule_compaction(s);
     maybe_checkpoint(epoch);
-    for (Shard& shard : shards_) shard.backpressure();
+    for (std::size_t s = 0; s < k; ++s) st_->backpressure(s);
   }
 
   /// Edge-list convenience overload.
@@ -221,23 +228,26 @@ class ShardedBuilder {
   }
 
   /// Pin every shard's run list (shard order, oldest first within a
-  /// shard) under the coordination mutex — O(live runs) shared_ptr
-  /// copies — into one `PinnedSnapshot` the reader traverses with no
-  /// further synchronization. Never throws past allocation: a queued
-  /// background failure is peeked into `pending_error()`, not consumed.
-  PinnedSnapshot<P> snapshot() const I2A_EXCLUDES(coord_->mu) {
-    std::vector<typename Shard::RunPtr> runs;
+  /// shard) in one critical section — O(live runs) shared_ptr copies —
+  /// into one `PinnedSnapshot` the reader traverses with no further
+  /// synchronization. Never throws past allocation: a queued background
+  /// failure is peeked into `pending_error()`, not consumed.
+  PinnedSnapshot<P> snapshot() const I2A_EXCLUDES(st_->mu) {
+    std::vector<typename State::RunPtr> runs;
     std::exception_ptr pending;
     std::uint64_t epoch = 0;
     {
-      util::MutexLock lock(coord_->mu);
-      for (const Shard& shard : shards_) {
-        std::exception_ptr err = shard.pin(runs);
-        if (!pending) pending = std::move(err);
+      util::MutexLock lock(st_->mu);
+      std::size_t live = 0;
+      for (const auto& l : st_->shards) live += l.runs.size();
+      runs.reserve(live);
+      for (const auto& l : st_->shards) {
+        for (const auto& r : l.runs) runs.push_back(r.csr);
       }
-      epoch = coord_->epoch;
+      if (!st_->errors.empty()) pending = st_->errors.front();
+      epoch = st_->epoch;
     }
-    return PinnedSnapshot<P>(n_, p_, epoch, std::move(runs),
+    return PinnedSnapshot<P>(st_->n, st_->p, epoch, std::move(runs),
                              std::move(pending));
   }
 
@@ -245,24 +255,22 @@ class ShardedBuilder {
   /// runs, byte-identical to `build_adjacency` / `adjacency_array` over
   /// the concatenation of every ingested batch.
   sparse::Csr<value_type> adjacency() const {
-    return snapshot().materialize(pool_);
+    return snapshot().materialize(st_->pool);
   }
 
-  /// `batches` is the epoch; every other counter sums across shards;
-  /// `failpoints_hit` is the process-wide fire count.
-  Stats stats() const {
+  /// `batches` is the epoch; `edges` and `pending_merges` sum across
+  /// shards; `failpoints_hit` is the process-wide fire count.
+  Stats stats() const I2A_EXCLUDES(st_->mu) {
     Stats total;
-    for (const Shard& shard : shards_) {
-      const Stats s = shard.stats();
-      total.edges += s.edges;
-      total.compactions += s.compactions;
-      total.delta_entries += s.delta_entries;
-      total.merged_entries += s.merged_entries;
-      total.pending_merges += s.pending_merges;
-      total.backpressure_events += s.backpressure_events;
-      total.checkpoints += s.checkpoints;
+    {
+      util::MutexLock lock(st_->mu);
+      total = st_->stats;
+      for (std::size_t s = 0; s < st_->num_shards; ++s) {
+        total.edges += st_->shards[s].edges;
+        total.pending_merges += st_->pending_merges_locked(s);
+      }
+      total.batches = st_->epoch;
     }
-    total.batches = epoch();
     total.failpoints_hit = util::failpoints_fired_total();
     return total;
   }
@@ -270,50 +278,51 @@ class ShardedBuilder {
   /// Live runs summed across shards. Each shard holds ≤ log₂(batches) + 1
   /// whenever it is settled — after every inline-mode `ingest`, and after
   /// `drain()` in background mode.
-  index_t num_levels() const {
+  index_t num_levels() const I2A_EXCLUDES(st_->mu) {
+    util::MutexLock lock(st_->mu);
     std::size_t runs = 0;
-    for (const Shard& shard : shards_) runs += shard.num_runs();
+    for (const auto& l : st_->shards) runs += l.runs.size();
     return static_cast<index_t>(runs);
   }
 
-  /// Block until no background compaction or checkpoint is in flight on
-  /// any shard, then rethrow the oldest undelivered background failure
-  /// of the first shard holding one. Each queued failure is delivered
-  /// exactly once across `drain()` and `ingest()`.
-  void drain() const {
-    for (const Shard& shard : shards_) shard.settle();
-    rethrow_pending_error();
-  }
+  /// Block until no background compaction or checkpoint is in flight,
+  /// then rethrow the builder's oldest undelivered background failure.
+  /// Each queued failure is delivered exactly once across `drain()` and
+  /// `ingest()`.
+  void drain() const { rethrow_pending_error(/*settle=*/true); }
 
   /// Settle, then discard every queued background failure without
   /// rethrowing; returns how many. The explicit alternative to `drain()`
   /// the destructor's contract names: a builder destroyed holding an
   /// undelivered failure is an asserted error in checked builds.
-  std::size_t dismiss_pending_errors() noexcept {
-    std::size_t n = 0;
-    for (Shard& shard : shards_) n += shard.dismiss_pending_errors();
-    return n;
+  std::size_t dismiss_pending_errors() noexcept I2A_EXCLUDES(st_->mu) {
+    util::MutexLock lock(st_->mu);
+    st_->settle_locked();
+    const std::size_t dismissed = st_->errors.size();
+    st_->errors.clear();
+    return dismissed;
   }
 
  private:
-  /// The coordination state. Heap-held so the builder stays movable;
-  /// `mu` is always taken before any shard's ladder lock (DESIGN.md §11).
-  struct Coord {
-    mutable util::Mutex mu;
-    std::uint64_t epoch I2A_GUARDED_BY(mu) = 0;  ///< committed batches
-  };
-
-  std::uint64_t epoch() const I2A_EXCLUDES(coord_->mu) {
-    util::MutexLock lock(coord_->mu);
-    return coord_->epoch;
+  std::uint64_t epoch() const I2A_EXCLUDES(st_->mu) {
+    util::MutexLock lock(st_->mu);
+    return st_->epoch;
   }
 
-  void rethrow_pending_error() const {
-    for (const Shard& shard : shards_) {
-      if (std::exception_ptr err = shard.pop_error()) {
-        std::rethrow_exception(err);
+  /// Pop and rethrow the oldest queued background failure, if any —
+  /// after waiting out in-flight background work when `settle` is set.
+  void rethrow_pending_error(bool settle = false) const
+      I2A_EXCLUDES(st_->mu) {
+    std::exception_ptr err;
+    {
+      util::MutexLock lock(st_->mu);
+      if (settle) st_->settle_locked();
+      if (!st_->errors.empty()) {
+        err = st_->errors.front();
+        st_->errors.erase(st_->errors.begin());
       }
     }
+    if (err) std::rethrow_exception(err);
   }
 
   void attach_wal(const Options& opts, std::uint64_t seqno) {
@@ -322,33 +331,33 @@ class ShardedBuilder {
     checkpoint_every_ = opts.checkpoint_every;
   }
 
-  /// At a checkpoint boundary: copy every shard's run list (the writer
-  /// just committed `epoch`, and only the writer commits, so all shards
-  /// are at it) and hand the write to shard 0's checkpoint token. One
-  /// checkpoint at a time; a boundary that finds one in flight is
-  /// skipped. The task captures values only — it may outlive the
-  /// builder, and it never touches the live `Wal`.
+  /// At a checkpoint boundary: unless a checkpoint is in flight (then
+  /// the boundary is skipped), copy every shard's run list — the writer
+  /// just committed `epoch`, and only the writer commits — and hand the
+  /// write to the pool. The task captures values only: it may outlive
+  /// the builder, and it never touches the live `Wal`.
   void maybe_checkpoint(std::uint64_t epoch) {
     if (!wal_ || checkpoint_every_ == 0 || epoch % checkpoint_every_ != 0) {
       return;
     }
-    std::vector<std::vector<typename Shard::Run>> runs;
-    std::vector<std::uint64_t> edges(shards_.size(), 0);
-    runs.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      runs.push_back(shards_[s].runs(edges[s]));
-    }
-    std::function<void()> write =
-        [dir = wal_->dir(), manifest = manifest_, epoch,
-         runs = std::move(runs), edges = std::move(edges),
-         active_seqno = wal_->seqno()] {
-          write_checkpoint<value_type>(dir, manifest, epoch, runs, edges);
-          gc_checkpoints(dir, epoch);
-          Wal::retire_segments(dir, epoch, active_seqno);
-        };
-    if (shards_.front().try_claim_checkpoint()) {
-      shards_.front().run_checkpoint(std::move(write));
-    }
+    // Every copy that can throw happens before the token is taken; after
+    // it there are only moves, so a taken token always reaches the task
+    // that frees it.
+    std::string dir = wal_->dir();
+    WalManifest manifest = manifest_;
+    std::vector<std::vector<typename State::Run>> runs;
+    std::vector<std::uint64_t> edges;
+    runs.reserve(st_->num_shards);
+    edges.reserve(st_->num_shards);
+    if (!st_->claim_checkpoint(runs, edges)) return;
+    st_->run_checkpoint([dir = std::move(dir), manifest = std::move(manifest),
+                         epoch, runs = std::move(runs),
+                         edges = std::move(edges),
+                         active_seqno = wal_->seqno()] {
+      write_checkpoint<value_type>(dir, manifest, epoch, runs, edges);
+      gc_checkpoints(dir, epoch);
+      Wal::retire_segments(dir, epoch, active_seqno);
+    });
   }
 
   static std::size_t shard_index(index_t src, std::size_t shards) {
@@ -359,12 +368,8 @@ class ShardedBuilder {
     return static_cast<std::size_t>(x % static_cast<std::uint64_t>(shards));
   }
 
-  index_t n_;
-  P p_;
-  util::ThreadPool* pool_;
+  std::shared_ptr<State> st_;
   WalManifest manifest_;
-  std::vector<Shard> shards_;
-  std::unique_ptr<Coord> coord_;
   // Durability (inert unless wal_ is engaged; writer-thread-only).
   std::uint64_t checkpoint_every_ = 0;
   std::optional<Wal> wal_;

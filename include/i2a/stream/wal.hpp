@@ -30,8 +30,12 @@
 ///     `ingest()` returns, the batch survives power loss. This is the
 ///     mode whose acknowledgements the crash harness treats as binding.
 ///   * `kAsync` — frames go to the page cache; fsync happens on segment
-///     rotation, checkpoint, and `close()`. Acknowledged batches survive
-///     SIGKILL (the kernel still owns the pages) but not power loss.
+///     rotation and on `close()`. Acknowledged batches survive SIGKILL
+///     (the kernel still owns the pages) but not power loss, which can
+///     cost at most the active segment's unsynced tail. A checkpoint
+///     does not sync the log and need not: the checkpoint file itself
+///     is fsynced before its rename, so the prefix it covers is durable
+///     on its own, and only segments it fully covers are retired.
 ///   * `kNone` — never fsyncs. Same SIGKILL story, no power-loss story
 ///     at all; for tests and bulk loads.
 ///
@@ -68,7 +72,7 @@ namespace i2a::stream {
 /// When an acknowledged (`ingest()` returned) batch is durable.
 enum class Durability {
   kNone,            ///< never fsync: page-cache only
-  kAsync,           ///< fsync on rotation/checkpoint/close
+  kAsync,           ///< fsync on rotation and close
   kFsyncEachBatch,  ///< fsync before ingest returns (acknowledged ⇒ durable)
 };
 
@@ -228,8 +232,8 @@ class Wal {
     if (file_.size() >= segment_bytes_) rotate();
   }
 
-  /// fsync the current segment (checkpointing syncs the log before
-  /// trusting its coverage; kAsync acknowledgement boundary).
+  /// fsync the current segment (`rotate()` and `close()` call it: the
+  /// kAsync durability points).
   void sync() {
     if (durability_ != Durability::kNone) file_.sync();
   }
@@ -268,8 +272,6 @@ class Wal {
 
   const std::string& dir() const { return dir_; }
   std::uint64_t seqno() const { return seqno_; }
-  std::uint64_t next_epoch() const { return next_epoch_; }
-  bool failed() const { return failed_; }
 
   /// One on-disk segment, as discovered by `list_segments`.
   struct SegmentInfo {
@@ -375,7 +377,6 @@ class Wal {
 
 /// Replay outcome for one directory scan.
 struct WalReplayStats {
-  std::uint64_t segments_scanned = 0;
   std::uint64_t batches_replayed = 0;
   std::uint64_t batches_skipped = 0;   ///< epochs the checkpoint already covers
   std::uint64_t tail_bytes_truncated = 0;
@@ -422,7 +423,6 @@ WalReplayStats replay_wal(const std::string& dir,
     const Wal::SegmentInfo& seg = segments[si];
     stats.any_segment = true;
     stats.last_seqno = seg.seqno;
-    ++stats.segments_scanned;
     const std::vector<unsigned char> image = util::read_file(seg.path);
     util::FrameReader reader(image);
     std::vector<unsigned char> payload;

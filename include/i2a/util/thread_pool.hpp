@@ -20,15 +20,12 @@
 /// use. Queued submissions are drained — not dropped — by the
 /// destructor, so a submitted task always runs exactly once. An
 /// exception escaping a submitted task has no caller join to deliver it
-/// to, so it routes through the pool's *submit error handler*: by
-/// default the first escaped exception is captured into a slot the
-/// owner polls with `take_submit_error()`; `set_submit_error_handler`
-/// replaces that with a caller-supplied sink (log-and-count, rethrow
-/// into a supervisor, …).
+/// to, so the first escaped exception is captured into a slot the owner
+/// polls with `take_submit_error()`.
 ///
 /// Lock discipline (DESIGN.md §11, checked by `-Wthread-safety`): `mu_`
 /// guards the task queue and the stop flag; `submit_error_mu_` guards
-/// the submit-error handler and slot. The two are never held together.
+/// the submit-error slot. The two are never held together.
 /// Every guarded member carries `I2A_GUARDED_BY`, so any new code path
 /// that touches pool state without the right lock is a compile error on
 /// the CI thread-safety leg, not a TSan race some test has to schedule.
@@ -194,9 +191,8 @@ class ThreadPool {
   /// back into this pool with `parallel_for` runs that region serially,
   /// by the identical FIFO-starvation argument as nested chunks (its
   /// sub-chunks could sit queued behind tasks whose workers are blocked
-  /// waiting on them). An exception escaping the callable is delivered
-  /// to the submit error handler (never dropped, never std::terminate):
-  /// the default handler stores the first one for `take_submit_error`.
+  /// waiting on them). An exception escaping the callable never reaches
+  /// std::terminate: the first one is stored for `take_submit_error`.
   /// `submit` itself may throw (queue allocation) — the task then never
   /// ran, and the caller still owns the work.
   void submit(std::function<void()> task) I2A_EXCLUDES(mu_) {
@@ -215,27 +211,11 @@ class ThreadPool {
     enqueue(std::move(guarded));
   }
 
-  /// What `submit` does with an escaped task exception.
-  using SubmitErrorHandler = std::function<void(std::exception_ptr)>;
-
-  /// Install `handler` as the sink for escaped submit-task exceptions
-  /// (pass nullptr to restore the default capture-into-slot behavior).
-  /// The handler runs on whichever thread the task ran on and must not
-  /// throw — an exception escaping it is swallowed (there is nowhere
-  /// left to deliver it). Installing a handler does not disturb an
-  /// already-captured slot error.
-  void set_submit_error_handler(SubmitErrorHandler handler)
-      I2A_EXCLUDES(submit_error_mu_) {
-    MutexLock lock(submit_error_mu_);
-    submit_error_handler_ = std::move(handler);
-  }
-
-  /// Poll-and-clear the default handler's slot: the first escaped
-  /// submit-task exception since the last take, or nullptr. The owner of
-  /// a pool running fire-and-forget work polls this at its own error
-  /// boundaries (the streaming builder surfaces its merge failures
-  /// through its own ladder instead — this slot is the safety net for
-  /// everything else).
+  /// Poll-and-clear the slot: the first escaped submit-task exception
+  /// since the last take, or nullptr. The owner of a pool running
+  /// fire-and-forget work polls this at its own error boundaries (the
+  /// streaming builder surfaces its merge failures through its own error
+  /// queue instead — this slot is the safety net for everything else).
   std::exception_ptr take_submit_error() I2A_EXCLUDES(submit_error_mu_) {
     MutexLock lock(submit_error_mu_);
     return std::exchange(submit_error_, nullptr);
@@ -244,23 +224,8 @@ class ThreadPool {
  private:
   void note_submit_error(std::exception_ptr error)
       I2A_EXCLUDES(submit_error_mu_) {
-    SubmitErrorHandler handler;
-    {
-      MutexLock lock(submit_error_mu_);
-      if (submit_error_handler_) {
-        handler = submit_error_handler_;  // copy; invoke outside the lock
-      } else if (!submit_error_) {
-        submit_error_ = error;  // default: capture the first escape
-      }
-    }
-    if (handler) {
-      try {
-        handler(std::move(error));
-      } catch (...) {
-        // The handler broke its no-throw contract; nothing can observe
-        // an exception here, so the escape ends at this boundary.
-      }
-    }
+    MutexLock lock(submit_error_mu_);
+    if (!submit_error_) submit_error_ = std::move(error);
   }
 
   /// True while the current thread is executing a chunk body (of any
@@ -310,7 +275,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_ I2A_GUARDED_BY(mu_);
   bool stopping_ I2A_GUARDED_BY(mu_) = false;
   Mutex submit_error_mu_;
-  SubmitErrorHandler submit_error_handler_ I2A_GUARDED_BY(submit_error_mu_);
   std::exception_ptr submit_error_ I2A_GUARDED_BY(submit_error_mu_);
 };
 

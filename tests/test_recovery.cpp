@@ -1151,41 +1151,60 @@ void test_wal_append_failpoints() {
 
 /// checkpoint.write: deferred-error class. The ingest that crossed the
 /// boundary returns normally; the failure arrives via drain() exactly
-/// once; the temp file is gone; the next boundary checkpoints fine.
+/// once; the temp file is gone; the next boundary checkpoints fine; and
+/// recovery is byte-identical. Swept over 1 and 4 shards × a workerless
+/// pool (the checkpoint runs inside ingest) and four threads with
+/// background compaction (it runs on a worker beside the merges).
 void test_checkpoint_write_failpoint() {
-  TempDir td;
   const auto batches = trial_batches(121);
-  util::ThreadPool workerless(1);  // checkpoint task runs inside ingest
-  Options opts = durable_opts(td.path);
-  opts.pool = &workerless;
-  opts.checkpoint_every = 2;
-  Builder b(kN, PT{}, opts);
-  b.ingest(batches[0]);
-  {
-    util::ScopedFailpoint fp("checkpoint.write", Sched::once());
-    b.ingest(batches[1]);  // boundary: checkpoint scheduled and fails
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool workers : {false, true}) {
+      TempDir td;
+      util::ThreadPool pool(workers ? 4 : 1);
+      Options opts = durable_opts(td.path);
+      opts.pool = &pool;
+      opts.checkpoint_every = 2;
+      if (workers) opts.compaction = stream::Compaction::kBackground;
+      Sharded b(kN, shards, PT{}, opts);
+      b.ingest(batches[0]);
+      std::size_t delivered = 0;
+      const auto drain_counting = [&b, &delivered] {
+        try {
+          b.drain();
+        } catch (const util::FailpointError&) {
+          ++delivered;
+        }
+      };
+      {
+        util::ScopedFailpoint fp("checkpoint.write", Sched::once());
+        b.ingest(batches[1]);  // boundary: checkpoint scheduled and fails
+        drain_counting();      // a worker's write must see the armed site
+      }
+      drain_counting();
+      CHECK_EQ(delivered, 1u);  // exactly once
+      CHECK_EQ(b.stats().checkpoints, 0u);
+      for (const std::string& name : util::list_dir(td.path)) {
+        CHECK(name.find(".tmp") == std::string::npos);  // cleaned up
+        CHECK(!stream::parse_checkpoint_name(name));    // nothing half-made
+      }
+      b.ingest(batches[2]);
+      b.ingest(batches[3]);  // next boundary: succeeds
+      b.drain();
+      CHECK_EQ(b.stats().checkpoints, 1u);
+      bool written = false;
+      for (const std::string& name : util::list_dir(td.path)) {
+        CHECK(name.find(".tmp") == std::string::npos);
+        if (const auto epoch = stream::parse_checkpoint_name(name)) {
+          written = written || *epoch == 4;
+        }
+      }
+      CHECK(written);
+      { Sharded drop = std::move(b); }
+      Sharded r = Sharded::recover(kN, shards, PT{}, durable_opts(td.path));
+      CHECK_EQ(r.stats().batches, 4u);
+      CHECK(csr_bitwise_equal(r.adjacency(), oracle_prefix(kN, batches, 4)));
+    }
   }
-  bool threw = false;
-  try {
-    b.drain();
-  } catch (const util::FailpointError&) {
-    threw = true;
-  }
-  CHECK(threw);
-  b.drain();  // exactly once
-  CHECK_EQ(b.stats().checkpoints, 0u);
-  for (const std::string& name : util::list_dir(td.path)) {
-    CHECK(name.find(".tmp") == std::string::npos);  // cleaned up
-    CHECK(!stream::parse_checkpoint_name(name));    // nothing half-made
-  }
-  b.ingest(batches[2]);
-  b.ingest(batches[3]);  // next boundary: succeeds
-  b.drain();
-  CHECK_EQ(b.stats().checkpoints, 1u);
-  { Builder drop = std::move(b); }
-  Builder r = Builder::recover(kN, PT{}, durable_opts(td.path));
-  CHECK_EQ(r.stats().batches, 4u);
-  CHECK(csr_bitwise_equal(r.adjacency(), oracle_prefix(kN, batches, 4)));
 }
 
 /// recover.replay: a crash inside recovery itself. The throwing

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -254,9 +255,41 @@ void test_pin_never_waits_on_merge() {
   }
 }
 
+/// `fold_row` rejects a row outside [0, n) the way `ingest` rejects an
+/// endpoint, on an empty and a non-empty pin, before it touches any run.
+void test_fold_row_out_of_range() {
+  const index_t n = 8;
+  const std::vector<graph::Edge> batch = {{0, 1, 1.0}, {5, 2, 1.0}};
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    stream::ShardedBuilder<algebra::PlusTimes<double>> builder(n, shards);
+    for (const bool empty : {true, false}) {
+      if (!empty) builder.ingest(batch);
+      const auto snap = builder.snapshot();
+      CHECK_EQ(snap.empty(), empty);
+      auto scratch = snap.row_scratch();
+      for (const index_t row : {index_t{-1}, n}) {
+        bool threw = false;
+        std::size_t emitted = 0;
+        try {
+          snap.fold_row(row, scratch,
+                        [&emitted](index_t, double) { ++emitted; });
+        } catch (const std::out_of_range&) {
+          threw = true;
+        }
+        CHECK(threw);
+        CHECK_EQ(emitted, 0u);
+      }
+      std::size_t emitted = 0;  // an in-range row still folds
+      snap.fold_row(0, scratch, [&emitted](index_t, double) { ++emitted; });
+      CHECK_EQ(emitted, empty ? 0u : 1u);
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
+  test_fold_row_out_of_range();
   test_pin_never_waits_on_merge();
   const std::uint64_t seed = serve_seed();
   sweep_algebra(algebra::PlusTimes<double>{}, stream::Weighting::kUnweighted,

@@ -6,9 +6,8 @@
 ///        teardown, and the `submit` background-task contract — run
 ///        exactly once, inline when workerless, drained (not dropped) at
 ///        destruction, serialized when fanning back into the pool, and
-///        escaped task exceptions routed to the pluggable submit error
-///        handler (default slot + `take_submit_error`, custom sinks,
-///        throwing-handler containment) — plus the streaming builder's
+///        the first escaped task exception captured for
+///        `take_submit_error` — plus the streaming builder's
 ///        background-compaction lifecycle built on it: tasks outliving
 ///        destroyed snapshots and builders, and a failed background
 ///        merge surfacing exactly once from `drain()` or the next
@@ -464,34 +463,6 @@ void test_submit_error_worker_thread() {
   CHECK(matched);
 }
 
-void test_submit_error_custom_handler() {
-  util::ThreadPool pool(1);
-  std::vector<std::string> seen;
-  pool.set_submit_error_handler([&seen](std::exception_ptr e) {
-    try {
-      std::rethrow_exception(e);
-    } catch (const std::runtime_error& ex) {
-      seen.emplace_back(ex.what());
-    }
-  });
-  pool.submit([] { throw std::runtime_error("h1"); });
-  pool.submit([] { throw std::runtime_error("h2"); });
-  CHECK_EQ(seen.size(), 2u);  // handler sees EVERY escape, not just the first
-  CHECK(seen[0] == "h1");
-  CHECK(seen[1] == "h2");
-  CHECK(pool.take_submit_error() == nullptr);  // handler bypasses the slot
-  // A handler that breaks its no-throw contract is contained at the
-  // boundary — no std::terminate, no escape into the worker loop.
-  pool.set_submit_error_handler(
-      [](std::exception_ptr) { throw std::logic_error("handler bug"); });
-  pool.submit([] { throw std::runtime_error("h3"); });
-  // nullptr restores the default capture-into-slot behavior.
-  pool.set_submit_error_handler(nullptr);
-  pool.submit([] { throw std::runtime_error("h4"); });
-  std::exception_ptr err = pool.take_submit_error();
-  CHECK(err != nullptr);
-}
-
 }  // namespace
 
 int main() {
@@ -506,7 +477,6 @@ int main() {
   test_submit_basics();
   test_submit_error_default_slot();
   test_submit_error_worker_thread();
-  test_submit_error_custom_handler();
   test_background_task_outlives_snapshot();
   test_builder_destroyed_with_task_in_flight();
   test_background_exception_surfaces();
