@@ -2,7 +2,9 @@
 /// \file bench_common.hpp
 /// \brief Shared workload builders for the google-benchmark suites, plus
 ///        the machine-readable perf plumbing: a JSON-reporting main
-///        (`run_benchmarks_json`) and an opt-in global allocation counter
+///        (`run_benchmarks_json`, which records the i2a commit, build type,
+///        feature switches and hardware thread count in the file's
+///        context) and an opt-in global allocation counter
 ///        (`I2A_BENCH_COUNT_ALLOCS`) that turns heap traffic into a
 ///        benchmark counter — the allocs-per-row proxy the SpGEMM engine
 ///        work is measured by.
@@ -12,11 +14,13 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "util/failpoint.hpp"
 #include "util/prng.hpp"
 
 #ifdef I2A_BENCH_COUNT_ALLOCS
@@ -110,6 +114,19 @@ inline int run_benchmarks_json(int argc, char** argv,
     args.push_back(fmt_arg.data());
   }
   int ac = static_cast<int>(args.size());
+  // Provenance: what i2a build produced these numbers. (The stock
+  // `library_build_type` field describes Google Benchmark's own build.)
+  benchmark::AddCustomContext("i2a_git_sha", I2A_BENCH_GIT_SHA);
+  benchmark::AddCustomContext("i2a_build_type", I2A_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("i2a_failpoints",
+                              I2A_FAILPOINTS_ENABLED ? "ON" : "OFF");
+#ifdef I2A_CHECK_INVARIANTS
+  benchmark::AddCustomContext("i2a_check_invariants", "ON");
+#else
+  benchmark::AddCustomContext("i2a_check_invariants", "OFF");
+#endif
+  benchmark::AddCustomContext(
+      "hardware_threads", std::to_string(std::thread::hardware_concurrency()));
   benchmark::Initialize(&ac, args.data());
   if (benchmark::ReportUnrecognizedArguments(ac, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();

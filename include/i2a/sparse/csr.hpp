@@ -394,6 +394,15 @@ class Csr {
   const std::vector<index_t>& cols() const { return cols_; }
   const std::vector<T>& vals() const { return vals_; }
 
+  /// Move the column and value arrays out (layout conversions that keep
+  /// the entries and rebuild only the row index); leaves this empty.
+  std::pair<std::vector<index_t>, std::vector<T>> release_entries() && {
+    std::pair<std::vector<index_t>, std::vector<T>> out(std::move(cols_),
+                                                         std::move(vals_));
+    *this = Csr();
+    return out;
+  }
+
  private:
   /// The one statement of the canonical-CSR invariants: returns nullptr
   /// when they all hold, else a description of the first violation.

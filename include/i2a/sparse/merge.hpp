@@ -1,8 +1,9 @@
 #pragma once
 /// \file sparse/merge.hpp
-/// \brief Parallel semiring CSR ⊕-merge: fold k same-shape CSR arrays
+/// \brief Parallel semiring ⊕-merge: fold k same-shape sparse arrays
 ///        into one, entrywise, with the caller's ⊕ — the kernel behind
-///        streaming adjacency maintenance (stream/adjacency_builder.hpp).
+///        streaming adjacency maintenance (the run-list ladder in
+///        stream/shard.hpp).
 ///
 /// The GraphBLAS framing (Kepner et al., 1606.05790) treats a sparse
 /// update as ⊕-accumulation into an existing array: C = A ⊕ ΔA. When ⊕
@@ -13,15 +14,24 @@
 /// same as folding everything at once. The merge itself never needs ⊗:
 /// each input row is already a folded adjacency row, so only ⊕ appears.
 ///
+/// Inputs may be dense (`Csr`) or hypersparse (`Dcsr`, sparse/dcsr.hpp)
+/// in any mix, and the output is either layout (`merge_add_as<Out>`): the
+/// streaming ladder merges hypersparse runs into a hypersparse run, a
+/// snapshot materializes them into a dense `Csr`, and the dense
+/// `merge_add_k` overloads stay dense. Either way the passes visit only
+/// *candidate* rows — the union of the row-id lists when every input is
+/// hypersparse, so a merge costs O(k · stored rows + entries) and not
+/// O(n); otherwise every row, skipped after one emptiness test per input.
+///
 /// Engine shape — the same two-pass scheme as the SpGEMM and assembly
 /// engines (sparse/spgemm.hpp, sparse/csr.hpp):
 ///
-///   1. **count** — row chunks walk the k sorted input rows with a
-///      cursor frontier (chunk-id-indexed scratch reused across both
-///      passes via `ThreadPool::parallel_for_chunks`) and record each
-///      output row's merged size;
+///   1. **count** — chunks of candidate rows load each row's non-empty
+///      inputs into a cursor frontier (chunk-id-indexed scratch reused
+///      across both passes via `ThreadPool::parallel_for_chunks`) and
+///      record each output row's merged size;
 ///   2. **stitch** — one serial prefix sum turns the counts into the
-///      final row pointer;
+///      final row offsets;
 ///   3. **scatter + fold** — the same chunk decomposition re-walks the
 ///      cursors and writes every merged entry straight into its final
 ///      slot, folding equal columns with ⊕ in *run order* (runs[0]
@@ -44,53 +54,89 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "algebra/concepts.hpp"
 #include "core/types.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/dcsr.hpp"
 #include "util/contract.hpp"
 #include "util/failpoint.hpp"
 #include "util/thread_pool.hpp"
 
 namespace i2a::sparse {
 
-namespace detail {
-
-/// Per-chunk cursor frontier for the k-way row merge, reused across every
-/// row of the chunk and across the count and scatter passes (which index
-/// it by the same chunk id).
+/// A non-owning reference to one merge input, in either layout: a dense
+/// `Csr` or a hypersparse `Dcsr`. Implicit from both, so a caller can
+/// list a mixed run-set as `{dense_a, hyper_b}`.
 template <typename T>
-struct MergeScratch {
-  std::vector<const index_t*> cols;  ///< run r's row cursor (cols)
-  std::vector<const T*> vals;        ///< run r's row cursor (vals)
-  std::vector<index_t> len;          ///< entries left in run r's row
+class RunRef {
+ public:
+  // NOLINTNEXTLINE(google-explicit-constructor): a view, by design.
+  RunRef(const Csr<T>& m) : dense_(&m) {}
+  // NOLINTNEXTLINE(google-explicit-constructor): a view, by design.
+  RunRef(const Dcsr<T>& m) : hyper_(&m) {}
+
+  index_t nrows() const { return dense_ ? dense_->nrows() : hyper_->nrows(); }
+  index_t ncols() const { return dense_ ? dense_->ncols() : hyper_->ncols(); }
+  bool is_canonical() const {
+    return dense_ ? dense_->is_canonical() : hyper_->is_canonical();
+  }
+  /// Exactly one of the two is non-null.
+  const Csr<T>* dense() const { return dense_; }
+  const Dcsr<T>* hyper() const { return hyper_; }
+
+ private:
+  const Csr<T>* dense_ = nullptr;
+  const Dcsr<T>* hyper_ = nullptr;
 };
 
-/// Walk row `r` of all runs simultaneously and call
-/// `emit(col, folded_value)` once per merged column, strictly increasing.
-/// Folding visits runs in index order — runs[0] ⊕ runs[1] ⊕ … — which is
-/// the age order callers rely on. `need_vals` lets the count pass skip
-/// value reads entirely when no zero-dropping is requested.
-template <typename T, typename Add, typename Emit>
-void merge_row_k(const std::vector<const Csr<T>*>& runs, index_t r,
-                 MergeScratch<T>& s, const Add& add, bool need_vals,
-                 const Emit& emit) {
-  const std::size_t k = runs.size();
-  s.cols.resize(k);
-  s.vals.resize(k);
-  s.len.resize(k);
-  index_t live = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto cs = runs[i]->row_cols(r);
-    s.cols[i] = cs.data();
-    s.vals[i] = runs[i]->row_vals(r).data();
-    s.len[i] = static_cast<index_t>(cs.size());
-    live += s.len[i];
+namespace detail {
+
+/// The k-way row merge's cursor frontier: one (cols, vals, len) cursor
+/// per input that stores the row being merged, in input order. Reused
+/// across every row of a chunk and across the count and scatter passes
+/// (which index it by the same chunk id), and by `fold_row`.
+template <typename T>
+struct MergeScratch {
+  std::vector<const index_t*> cols;  ///< loaded row j's cursor (cols)
+  std::vector<const T*> vals;        ///< loaded row j's cursor (vals)
+  std::vector<index_t> len;          ///< entries left in loaded row j
+  std::size_t loaded = 0;            ///< rows in the frontier
+  /// Merge kernel only: hypersparse input i's next stored-row position.
+  std::vector<std::size_t> pos;
+
+  /// Empty the frontier, with room for rows from `k` inputs.
+  void reset(std::size_t k) {
+    cols.resize(k);
+    vals.resize(k);
+    len.resize(k);
+    loaded = 0;
   }
+  /// Add one input's row to the frontier (after every older input's).
+  void push(std::span<const index_t> c, std::span<const T> v) {
+    cols[loaded] = c.data();
+    vals[loaded] = v.data();
+    len[loaded] = static_cast<index_t>(c.size());
+    ++loaded;
+  }
+};
+
+/// Fold the rows loaded into `s` and call `emit(col, folded_value)` once
+/// per merged column, strictly increasing. Folding visits the loaded rows
+/// in load order — oldest input first — which is the age order callers
+/// rely on. `need_vals` lets the count pass skip value reads entirely
+/// when no zero-dropping is requested.
+template <typename T, typename Add, typename Emit>
+void merge_row_k(MergeScratch<T>& s, const Add& add, bool need_vals,
+                 const Emit& emit) {
+  const std::size_t k = s.loaded;
+  index_t live = 0;
+  for (std::size_t i = 0; i < k; ++i) live += s.len[i];
   while (live > 0) {
     // Frontier minimum: the next merged column.
     index_t mc = -1;
@@ -116,118 +162,266 @@ void merge_row_k(const std::vector<const Csr<T>*>& runs, index_t r,
   }
 }
 
+/// Position every hypersparse input's cursor at its first stored row
+/// ≥ `r` (a chunk's first row).
+template <typename T>
+void seek_rows(const std::vector<RunRef<T>>& runs, index_t r,
+               MergeScratch<T>& s) {
+  s.reset(runs.size());
+  s.pos.resize(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (const Dcsr<T>* h = runs[i].hyper()) {
+      const auto& ids = h->row_ids();
+      s.pos[i] = static_cast<std::size_t>(
+          std::lower_bound(ids.begin(), ids.end(), r) - ids.begin());
+    }
+  }
+}
+
+/// Load row `r` of every input that stores it into the frontier, in
+/// input order; false when none does (the row is skipped). Rows must be
+/// visited in increasing order after `seek_rows`: a hypersparse input is
+/// a cursor over its row ids, a dense one a row-pointer test.
+template <typename T>
+bool load_row(const std::vector<RunRef<T>>& runs, index_t r,
+              MergeScratch<T>& s) {
+  s.loaded = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (const Dcsr<T>* h = runs[i].hyper()) {
+      std::size_t& p = s.pos[i];
+      if (p < h->stored_rows() && h->row_ids()[p] == r) {
+        const auto k = static_cast<index_t>(p++);
+        s.push(h->stored_cols(k), h->stored_vals(k));
+      }
+    } else {
+      const Csr<T>& d = *runs[i].dense();
+      const auto ri = static_cast<std::size_t>(r);
+      if (d.row_ptr()[ri] != d.row_ptr()[ri + 1]) {
+        s.push(d.row_cols(r), d.row_vals(r));
+      }
+    }
+  }
+  return s.loaded > 0;
+}
+
+/// The sorted union of the inputs' row-id lists (every input
+/// hypersparse): a k-way frontier walk, O(k · union). Sized exactly — a
+/// hypersparse merge output keeps this vector as its row ids.
+template <typename T>
+std::vector<index_t> union_row_ids(const std::vector<RunRef<T>>& runs) {
+  const std::size_t k = runs.size();
+  std::size_t bound = 0;
+  for (const auto& m : runs) bound += m.hyper()->stored_rows();
+  std::vector<index_t> rows;
+  rows.reserve(std::min(bound, static_cast<std::size_t>(runs[0].nrows())));
+  std::vector<std::size_t> pos(k, 0);
+  for (;;) {
+    index_t next = -1;
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto& ids = runs[i].hyper()->row_ids();
+      if (pos[i] < ids.size() && (next < 0 || ids[pos[i]] < next)) {
+        next = ids[pos[i]];
+      }
+    }
+    if (next < 0) return std::vector<index_t>(rows.begin(), rows.end());
+    rows.push_back(next);
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto& ids = runs[i].hyper()->row_ids();
+      if (pos[i] < ids.size() && ids[pos[i]] == next) ++pos[i];
+    }
+  }
+}
+
+/// One input, unmerged, in the layout `Out`.
+template <typename Out, typename T>
+Out convert_run(const RunRef<T>& m) {
+  if constexpr (std::is_same_v<Out, Csr<T>>) {
+    return m.dense() ? *m.dense() : m.hyper()->to_csr();
+  } else {
+    return m.hyper() ? *m.hyper() : Dcsr<T>::compress(*m.dense());
+  }
+}
+
 }  // namespace detail
 
-/// C = runs[0] ⊕ runs[1] ⊕ … ⊕ runs[k-1], entrywise, all runs the same
-/// shape. `add(a, b)` is ⊕; equal columns fold in run order, so callers
-/// encoding batch age as run order get the same fold a single-shot build
-/// would perform. `drop_zero`, when non-null, omits output entries whose
-/// folded value equals `*drop_zero` (Definition I.5). Output is
-/// byte-identical across pool sizes.
-template <typename T, typename Add>
-Csr<T> merge_add_k(const std::vector<const Csr<T>*>& runs, const Add& add,
-                   util::ThreadPool* pool = nullptr,
-                   const T* drop_zero = nullptr) {
+/// The merge kernel: C = runs[0] ⊕ runs[1] ⊕ … ⊕ runs[k-1], entrywise,
+/// all runs the same shape, inputs in any mix of layouts, output in the
+/// layout `Out` (`Csr<T>` or `Dcsr<T>`). `add(a, b)` is ⊕; equal columns
+/// fold in run order, so callers encoding batch age as run order get the
+/// same fold a single-shot build would perform. `drop_zero`, when
+/// non-null, omits output entries whose folded value equals `*drop_zero`
+/// (Definition I.5). Both passes visit only rows some input stores: the
+/// union of the row-id lists when every input is hypersparse, else every
+/// row behind a per-input emptiness test. Output is byte-identical across
+/// pool sizes, and the two layouts hold the same entries.
+template <typename Out, typename T, typename Add>
+  requires std::is_same_v<Out, Csr<T>> || std::is_same_v<Out, Dcsr<T>>
+Out merge_add_as(const std::vector<RunRef<T>>& runs, const Add& add,
+                 util::ThreadPool* pool = nullptr,
+                 const T* drop_zero = nullptr) {
   if (runs.empty()) {
     throw std::invalid_argument("merge_add_k: no input runs");
   }
-  const index_t nrows = runs[0]->nrows();
-  const index_t ncols = runs[0]->ncols();
-  for (const auto* m : runs) {
-    if (m->nrows() != nrows || m->ncols() != ncols) {
+  const index_t nrows = runs[0].nrows();
+  const index_t ncols = runs[0].ncols();
+  for (const auto& m : runs) {
+    if (m.nrows() != nrows || m.ncols() != ncols) {
       throw std::invalid_argument("merge_add_k: run shape mismatch");
     }
-    I2A_EXPECTS(m->is_canonical(), "merge_add_k: input run not canonical");
+    I2A_EXPECTS(m.is_canonical(), "merge_add_k: input run not canonical");
   }
   const bool dropping = drop_zero != nullptr;
-  if (runs.size() == 1 && !dropping) return *runs[0];  // fold of one
+  if (runs.size() == 1 && !dropping) {
+    return detail::convert_run<Out>(runs[0]);  // fold of one
+  }
+  const bool listed = std::all_of(runs.begin(), runs.end(),
+                                  [](const auto& m) { return m.hyper(); });
 
-  const bool parallel = pool != nullptr && pool->size() > 1 && nrows > 0;
-  const index_t nchunks =
-      parallel ? pool->num_chunks(nrows) : (nrows > 0 ? 1 : 0);
   // Injection site: the count pass's scratch/frontier allocations. A
   // fire here leaves every input run untouched — the merge has produced
   // nothing yet (DESIGN.md §10).
   I2A_FAILPOINT("merge.count.scratch");
+  // The slots the passes visit: the union row list when every input is
+  // hypersparse, else every row (slot s is row s).
+  std::vector<index_t> rows;
+  if (listed) rows = detail::union_row_ids(runs);
+  const index_t nslots = listed ? static_cast<index_t>(rows.size()) : nrows;
+  const auto row_of = [&](index_t slot) {
+    return listed ? rows[static_cast<std::size_t>(slot)] : slot;
+  };
+  const bool parallel = pool != nullptr && pool->size() > 1 && nslots > 0;
+  const index_t nchunks =
+      parallel ? pool->num_chunks(nslots) : (nslots > 0 ? 1 : 0);
   std::vector<detail::MergeScratch<T>> scratch(
       static_cast<std::size_t>(nchunks));
 
-  // Pass 1 (count): per-row merged sizes, written into row_ptr[r + 1]
-  // (rows are disjoint across chunks, so no histograms are needed —
+  // Pass 1 (count): per-slot merged sizes, written into off[slot + 1]
+  // (slots are disjoint across chunks, so no histograms are needed —
   // unlike the COO scatter, a row merge has exactly one producer). The
   // count only touches values when zero-dropping makes sizes
   // value-dependent — that path deliberately folds twice (once to size,
   // once to write) in exchange for exact sizing with no compaction
   // copy; the default no-drop path, the adjacency-maintenance hot path,
   // folds exactly once.
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
+  std::vector<index_t> off(static_cast<std::size_t>(nslots) + 1, 0);
   detail::run_chunked(
-      pool, parallel, nrows, [&](index_t chunk, index_t lo, index_t hi) {
+      pool, parallel, nslots, [&](index_t chunk, index_t lo, index_t hi) {
         auto& s = scratch[static_cast<std::size_t>(chunk)];
-        for (index_t r = lo; r < hi; ++r) {
+        detail::seek_rows(runs, row_of(lo), s);
+        for (index_t slot = lo; slot < hi; ++slot) {
+          if (!detail::load_row(runs, row_of(slot), s)) continue;
           index_t cnt = 0;
-          detail::merge_row_k(runs, r, s, add, dropping,
-                              [&](index_t, const T& v) {
-                                if (!dropping || !(v == *drop_zero)) ++cnt;
-                              });
-          row_ptr[static_cast<std::size_t>(r) + 1] = cnt;
+          detail::merge_row_k(s, add, dropping, [&](index_t, const T& v) {
+            if (!dropping || !(v == *drop_zero)) ++cnt;
+          });
+          off[static_cast<std::size_t>(slot) + 1] = cnt;
         }
       });
 
   // Stitch: one serial prefix sum sizes the output exactly.
-  for (index_t r = 0; r < nrows; ++r) {
-    row_ptr[static_cast<std::size_t>(r) + 1] +=
-        row_ptr[static_cast<std::size_t>(r)];
+  for (index_t slot = 0; slot < nslots; ++slot) {
+    off[static_cast<std::size_t>(slot) + 1] +=
+        off[static_cast<std::size_t>(slot)];
   }
   // Injection site: the scatter pass's output allocation — the largest
   // single allocation a compaction makes, so the canonical place an
   // out-of-memory failure lands mid-merge. A fire discards only the
   // partially built output; the input runs stay live and pinned.
   I2A_FAILPOINT("merge.scatter.alloc");
-  std::vector<index_t> cols(static_cast<std::size_t>(row_ptr.back()));
-  std::vector<T> vals(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<index_t> cols(static_cast<std::size_t>(off.back()));
+  std::vector<T> vals(static_cast<std::size_t>(off.back()));
 
   // Pass 2 (scatter + fold): same chunk decomposition, same scratch,
   // entries written straight into their final slots.
   detail::run_chunked(
-      pool, parallel, nrows, [&](index_t chunk, index_t lo, index_t hi) {
+      pool, parallel, nslots, [&](index_t chunk, index_t lo, index_t hi) {
         auto& s = scratch[static_cast<std::size_t>(chunk)];
-        for (index_t r = lo; r < hi; ++r) {
+        detail::seek_rows(runs, row_of(lo), s);
+        for (index_t slot = lo; slot < hi; ++slot) {
+          if (!detail::load_row(runs, row_of(slot), s)) continue;
           auto w = static_cast<std::size_t>(
-              row_ptr[static_cast<std::size_t>(r)]);
-          detail::merge_row_k(runs, r, s, add, true,
-                              [&](index_t c, const T& v) {
-                                if (dropping && v == *drop_zero) return;
-                                cols[w] = c;
-                                vals[w] = v;
-                                ++w;
-                              });
+              off[static_cast<std::size_t>(slot)]);
+          detail::merge_row_k(s, add, true, [&](index_t c, const T& v) {
+            if (dropping && v == *drop_zero) return;
+            cols[w] = c;
+            vals[w] = v;
+            ++w;
+          });
           I2A_ASSERT(w == static_cast<std::size_t>(
-                              row_ptr[static_cast<std::size_t>(r) + 1]),
+                              off[static_cast<std::size_t>(slot) + 1]),
                      "merge_add_k: scatter count disagrees with count pass");
         }
       });
 
-  Csr<T> out(nrows, ncols, std::move(row_ptr), std::move(cols),
-             std::move(vals));
-  I2A_ENSURES(out.is_canonical(), "merge_add_k: non-canonical merge");
-  return out;
+  if constexpr (std::is_same_v<Out, Csr<T>>) {
+    std::vector<index_t> row_ptr;
+    if (listed) {
+      // Spread the listed slots' offsets over every row.
+      row_ptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
+      std::size_t k = 0;
+      for (index_t r = 0; r <= nrows; ++r) {
+        while (k < rows.size() && rows[k] < r) ++k;
+        row_ptr[static_cast<std::size_t>(r)] = off[k];
+      }
+    } else {
+      row_ptr = std::move(off);
+    }
+    Csr<T> out(nrows, ncols, std::move(row_ptr), std::move(cols),
+               std::move(vals));
+    I2A_ENSURES(out.is_canonical(), "merge_add_k: non-canonical merge");
+    return out;
+  } else {
+    std::vector<index_t> row_ids;
+    std::vector<index_t> row_ptr;
+    if (listed && !dropping) {
+      // Every union row holds an entry of some input, and nothing is
+      // dropped, so every slot is a stored row.
+      row_ids = std::move(rows);
+      row_ptr = std::move(off);
+    } else {
+      row_ptr.push_back(0);
+      for (index_t slot = 0; slot < nslots; ++slot) {
+        const index_t end = off[static_cast<std::size_t>(slot) + 1];
+        if (end != off[static_cast<std::size_t>(slot)]) {
+          row_ids.push_back(row_of(slot));
+          row_ptr.push_back(end);
+        }
+      }
+    }
+    Dcsr<T> out(nrows, ncols, std::move(row_ids), std::move(row_ptr),
+                std::move(cols), std::move(vals));
+    I2A_ENSURES(out.is_canonical(), "merge_add_k: non-canonical merge");
+    return out;
+  }
 }
 
-/// Refcounted-run overload: the shape `PinnedSnapshot` and the ladder
-/// hold runs in. The handles pin the runs for the duration of the merge;
-/// the fold itself is identical to the raw-pointer overload.
+/// Dense runs in, dense out: the array layout every caller outside the
+/// streaming ladder uses.
 // i2a-lint: allow(kernel-entry-expects): forwarding overload — the
-// kernel-boundary contract is checked by the raw-pointer kernel it
+// kernel-boundary contract is checked by `merge_add_as`, which it
 // immediately calls.
 template <typename T, typename Add>
-Csr<T> merge_add_k(
-    const std::vector<std::shared_ptr<const Csr<T>>>& runs, const Add& add,
-    util::ThreadPool* pool = nullptr, const T* drop_zero = nullptr) {
-  std::vector<const Csr<T>*> ptrs;
-  ptrs.reserve(runs.size());
-  for (const auto& r : runs) ptrs.push_back(r.get());
-  return merge_add_k<T, Add>(ptrs, add, pool, drop_zero);
+Csr<T> merge_add_k(const std::vector<const Csr<T>*>& runs, const Add& add,
+                   util::ThreadPool* pool = nullptr,
+                   const T* drop_zero = nullptr) {
+  std::vector<RunRef<T>> refs;
+  refs.reserve(runs.size());
+  for (const auto* m : runs) refs.emplace_back(*m);
+  return merge_add_as<Csr<T>>(refs, add, pool, drop_zero);
+}
+
+/// Hypersparse runs in, hypersparse out: the ladder's compaction.
+// i2a-lint: allow(kernel-entry-expects): forwarding overload — the
+// kernel-boundary contract is checked by `merge_add_as`, which it
+// immediately calls.
+template <typename T, typename Add>
+Dcsr<T> merge_add_k(const std::vector<const Dcsr<T>*>& runs, const Add& add,
+                    util::ThreadPool* pool = nullptr,
+                    const T* drop_zero = nullptr) {
+  std::vector<RunRef<T>> refs;
+  refs.reserve(runs.size());
+  for (const auto* m : runs) refs.emplace_back(*m);
+  return merge_add_as<Dcsr<T>>(refs, add, pool, drop_zero);
 }
 
 /// Two-run convenience: C = a ⊕ b (a folds first — a is the *older*
@@ -252,56 +446,6 @@ Csr<typename P::value_type> merge(
   using T = typename P::value_type;
   return merge_add(
       a, b, [&p](const T& x, const T& y) { return p.add(x, y); }, pool);
-}
-
-/// Serial oracle for the differential tests (the `from_coo_reference`
-/// pattern): per row, concatenate the runs' entries in run order, stable
-/// sort by column, fold left. Deliberately shares no code with the
-/// engine.
-template <typename T, typename Add>
-Csr<T> merge_add_reference(const std::vector<const Csr<T>*>& runs,
-                           const Add& add, const T* drop_zero = nullptr) {
-  if (runs.empty()) {
-    throw std::invalid_argument("merge_add_reference: no input runs");
-  }
-  const index_t nrows = runs[0]->nrows();
-  const index_t ncols = runs[0]->ncols();
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
-  std::vector<index_t> cols;
-  std::vector<T> vals;
-  std::vector<std::pair<index_t, T>> buf;
-  for (index_t r = 0; r < nrows; ++r) {
-    buf.clear();
-    for (const auto* m : runs) {
-      const auto cs = m->row_cols(r);
-      const auto vs = m->row_vals(r);
-      for (std::size_t i = 0; i < cs.size(); ++i) {
-        buf.emplace_back(cs[i], vs[i]);
-      }
-    }
-    std::stable_sort(
-        buf.begin(), buf.end(),
-        [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (std::size_t i = 0; i < buf.size();) {
-      T acc = buf[i].second;
-      std::size_t j = i + 1;
-      for (; j < buf.size() && buf[j].first == buf[i].first; ++j) {
-        acc = add(acc, buf[j].second);
-      }
-      if (drop_zero == nullptr || !(acc == *drop_zero)) {
-        cols.push_back(buf[i].first);
-        vals.push_back(acc);
-        ++row_ptr[static_cast<std::size_t>(r) + 1];
-      }
-      i = j;
-    }
-  }
-  for (index_t r = 0; r < nrows; ++r) {
-    row_ptr[static_cast<std::size_t>(r) + 1] +=
-        row_ptr[static_cast<std::size_t>(r)];
-  }
-  return Csr<T>(nrows, ncols, std::move(row_ptr), std::move(cols),
-                std::move(vals));
 }
 
 }  // namespace i2a::sparse

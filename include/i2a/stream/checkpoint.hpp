@@ -36,11 +36,13 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/types.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/dcsr.hpp"
 #include "stream/wal.hpp"
 #include "util/contract.hpp"
 #include "util/failpoint.hpp"
@@ -48,11 +50,14 @@
 
 namespace i2a::stream {
 
-/// One serialized ladder run: the immutable CSR plus its ladder weight
-/// (number of batches it covers), per shard.
-template <typename V>
+/// One serialized ladder run: the immutable run matrix plus its ladder
+/// weight (number of batches it covers), per shard. `M` is the layout the
+/// holder keeps — a dense `Csr` (what a checkpoint parses into) or the
+/// builder's hypersparse `Dcsr`; a run frame's bytes are the same for
+/// both.
+template <typename V, typename M = sparse::Csr<V>>
 struct CheckpointRun {
-  std::shared_ptr<const sparse::Csr<V>> csr;
+  std::shared_ptr<const M> csr;
   std::uint64_t weight = 0;
 };
 
@@ -106,16 +111,18 @@ constexpr std::uint64_t run_arrays_bytes(std::uint64_t nrows,
 }
 
 /// Write `checkpoint-<epoch>.ckpt` atomically (tmp + fsync + rename +
-/// dir fsync). `shards[s]` is shard s's oldest-first run list; run CSRs
-/// are read but not retained; each run frame is streamed
+/// dir fsync). `shards[s]` is shard s's oldest-first run list; runs are
+/// read but not retained; each run frame is streamed
 /// (util::write_frame_streamed), so memory stays bounded by one
-/// kFrameChunkBytes chunk whatever the run size. Throws util::IoError
-/// (including for a run too large for one frame) / FailpointError on
-/// failure, after deleting the temp file.
-template <typename V>
+/// kFrameChunkBytes chunk whatever the run size. A frame always carries
+/// the dense n + 1 row pointer: a hypersparse run generates it from its
+/// row ids as the chunks go out. Throws util::IoError (including for a
+/// run too large for one frame) / FailpointError on failure, after
+/// deleting the temp file.
+template <typename V, typename M = sparse::Csr<V>>
 std::string write_checkpoint(
     const std::string& dir, const WalManifest& manifest, std::uint64_t epoch,
-    const std::vector<std::vector<CheckpointRun<V>>>& shards,
+    const std::vector<std::vector<CheckpointRun<V, M>>>& shards,
     const std::vector<std::uint64_t>& edges_per_shard) {
   I2A_EXPECTS(shards.size() == manifest.shard_count,
               "checkpoint: run lists do not match the manifest shard count");
@@ -141,8 +148,8 @@ std::string write_checkpoint(
     }
     I2A_FAILPOINT("checkpoint.write");
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      for (const CheckpointRun<V>& run : shards[s]) {
-        const sparse::Csr<V>& csr = *run.csr;
+      for (const CheckpointRun<V, M>& run : shards[s]) {
+        const M& csr = *run.csr;
         const auto nrows = static_cast<std::uint64_t>(csr.nrows());
         const auto nnz = static_cast<std::uint64_t>(csr.nnz());
         // Streamed: the frame costs one fixed chunk of memory, not a
@@ -156,7 +163,12 @@ std::string write_checkpoint(
               w.u64(nrows);
               w.u64(static_cast<std::uint64_t>(csr.ncols()));
               w.u64(nnz);
-              for (const index_t v : csr.row_ptr()) w.i64(v);
+              if constexpr (std::is_same_v<M, sparse::Dcsr<V>>) {
+                csr.for_each_dense_row_ptr(
+                    [&w](index_t, index_t v) { w.i64(v); });
+              } else {
+                for (const index_t v : csr.row_ptr()) w.i64(v);
+              }
               for (const index_t v : csr.cols()) w.i64(v);
               // Values ride as raw bit patterns; the manifest's algebra
               // tag pins sizeof(V), so a mismatched instantiation can't

@@ -6,12 +6,14 @@
 ///        run-list ladder, the epoch, the deferred-error queue, the
 ///        checkpoint token and the cost counters under one mutex, plus
 ///        the compaction policy, backpressure and the background tasks
-///        that share the block. It neither validates, routes nor logs —
-///        stream/sharded_builder.hpp does that.
+///        that share the block, and the shard hash `shard_index`. It
+///        neither validates, routes nor logs — stream/sharded_builder.hpp
+///        does that.
 ///
 /// **Run-list ladder.** Each shard keeps a list of immutable refcounted
-/// CSR runs, oldest first, each the ⊕-fold of a consecutive interval of
-/// batches. After a batch's delta (weight 1) is appended, the
+/// hypersparse runs (`sparse::Dcsr`: only the rows the run's batches
+/// name are stored), oldest first, each the ⊕-fold of a consecutive
+/// interval of batches. After a batch's delta (weight 1) is appended, the
 /// *compaction policy* merges the maximal balanced suffix: the longest
 /// tail in which every run's weight is ≤ the combined weight of the runs
 /// after it. Settled weights are therefore super-increasing, which
@@ -44,8 +46,9 @@
 /// waits out that shard's in-flight task and, if still over, settles its
 /// ladder on the writer's thread.
 ///
-/// Canonical-CSR postconditions (`I2A_ENSURES`) hold for every run the
-/// ladder exposes — per-batch delta, inline merge or background merge.
+/// Canonical-DCSR postconditions (`I2A_ENSURES`) hold for every run the
+/// ladder exposes — per-batch delta, inline merge, background merge or
+/// recovered checkpoint run.
 
 #include <cstddef>
 #include <cstdint>
@@ -63,6 +66,7 @@
 #include "graph/graph.hpp"
 #include "graph/incidence.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/dcsr.hpp"
 #include "sparse/merge.hpp"
 #include "sparse/spgemm.hpp"
 #include "stream/checkpoint.hpp"
@@ -139,6 +143,19 @@ struct BuilderStats {
                                       ///< builds; see util/failpoint.hpp)
 };
 
+/// Which of `shards` row shards owns vertex `v` — and so adjacency row
+/// `v`. A splitmix64-style finalizer over the id, not `v % shards`:
+/// generator ids are dense and real-world id schemes stripe, so a plain
+/// modulus can systematically starve shards (DESIGN.md §9). The builder
+/// routes edges with it and `PinnedSnapshot::fold_row` routes reads.
+inline std::size_t shard_index(index_t v, std::size_t shards) {
+  auto x = static_cast<std::uint64_t>(v);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return static_cast<std::size_t>(x % static_cast<std::uint64_t>(shards));
+}
+
 namespace detail {
 
 /// One builder's shared state. Heap-held and refcounted: the builder
@@ -149,10 +166,12 @@ template <typename P>
   requires algebra::Semiring<P>
 struct State : std::enable_shared_from_this<State<P>> {
   using value_type = typename P::value_type;
-  using RunPtr = std::shared_ptr<const sparse::Csr<value_type>>;
+  using RunMatrix = sparse::Dcsr<value_type>;
+  using RunPtr = std::shared_ptr<const RunMatrix>;
   /// One immutable ladder run: the ⊕-fold of `weight` consecutive
-  /// non-empty batches — exactly the unit a checkpoint stores.
-  using Run = CheckpointRun<value_type>;
+  /// non-empty batches, stored hypersparse — exactly the unit a
+  /// checkpoint stores.
+  using Run = CheckpointRun<value_type, RunMatrix>;
 
   /// One shard's ladder: only what is per-shard.
   struct Ladder {
@@ -236,8 +255,9 @@ struct State : std::enable_shared_from_this<State<P>> {
   }
 
   /// Build one shard's part of a batch into its delta adjacency with the
-  /// sort-free incidence + SpGEMM path. Touches no guarded state, so it
-  /// runs lock-free.
+  /// sort-free incidence + SpGEMM path, then drop the delta's empty rows
+  /// (an O(n) transient per delta; the run keeps only the rows the part's
+  /// sources name). Touches no guarded state, so it runs lock-free.
   Prepared stage(std::span<const graph::Edge> part) const {
     Prepared prep;
     prep.edges = part.size();
@@ -251,12 +271,11 @@ struct State : std::enable_shared_from_this<State<P>> {
     const auto inc = weighting == Weighting::kWeighted
                          ? graph::weighted_incidence_arrays(g, p, pool)
                          : graph::incidence_arrays(g, p, pool);
-    auto delta = graph::adjacency_array(p, inc, sparse::SpGemmAlgo::kAuto,
-                                        pool);
+    auto delta = RunMatrix::compress(graph::adjacency_array(
+        p, inc, sparse::SpGemmAlgo::kAuto, pool));
     I2A_ENSURES(delta.is_canonical(), "stream: staged delta not canonical");
     prep.delta_nnz = static_cast<std::uint64_t>(delta.nnz());
-    prep.delta =
-        std::make_shared<const sparse::Csr<value_type>>(std::move(delta));
+    prep.delta = std::make_shared<const RunMatrix>(std::move(delta));
     return prep;
   }
 
@@ -500,7 +519,7 @@ struct State : std::enable_shared_from_this<State<P>> {
   /// detached task must not fan back into the pool it occupies.
   Run merge_group(const std::vector<Run>& runs, std::size_t lo,
                   std::size_t hi, util::ThreadPool* merge_pool) const {
-    std::vector<const sparse::Csr<value_type>*> group;
+    std::vector<const RunMatrix*> group;
     group.reserve(hi - lo);
     std::uint64_t weight = 0;
     for (std::size_t i = lo; i < hi; ++i) {
@@ -515,9 +534,7 @@ struct State : std::enable_shared_from_this<State<P>> {
         merge_pool);
     I2A_ENSURES(merged.is_canonical(),
                 "stream: compaction produced non-canonical run");
-    return Run{std::make_shared<const sparse::Csr<value_type>>(
-                   std::move(merged)),
-               weight};
+    return Run{std::make_shared<const RunMatrix>(std::move(merged)), weight};
   }
 
   /// Under the lock: if shard `s` has no merge in flight and a suffix

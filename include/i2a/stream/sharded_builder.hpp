@@ -8,18 +8,18 @@
 /// **Sharding.** Partitioning by *source vertex* is exact, not an
 /// approximation: adjacency row i is the ⊕-fold of precisely the edges
 /// with src = i, so routing each edge to the shard that owns its source
-/// partitions the fold by row. Each shard is a ladder of immutable runs
-/// (stream/shard.hpp) over the full n × n shape (rows it does not own
-/// stay empty), so the fused snapshot is the concatenation of every
-/// shard's pinned runs: per row, all contributing runs come from the one
+/// (`shard_index`, a splitmix64-style hash in stream/shard.hpp) partitions
+/// the fold by row. Each shard is a ladder of immutable hypersparse runs
+/// (sparse/dcsr.hpp): n × n in shape, but storing only the rows their
+/// batches named, so a run costs O(stored rows + nnz), not an n + 1 row
+/// pointer. A snapshot pins one run group per shard; `fold_row(r)` reads
+/// only the group of r's owner, and `materialize()` merges every group
+/// into one dense CSR — per row, all contributing runs come from the one
 /// owning shard in batch-age order, byte-identical to a full rebuild
-/// (test_sharded_differential). One shard is the unsharded builder —
+/// (test_sharded_differential). At n = 65,536 with 4 shards (bench/e2e
+/// `serve-sharded`) the live and pinned runs' row pointers take 1.4 MiB
+/// instead of 20.0 MiB. One shard is the unsharded builder —
 /// `AdjacencyBuilder` — and its batches pass through unrouted, uncopied.
-///
-/// The shard hash is a splitmix64-style finalizer over the vertex id,
-/// not `src % N`: generator ids are dense and real-world id schemes
-/// stripe, so a plain modulus can systematically starve shards
-/// (DESIGN.md §9).
 ///
 /// **Threads.** Single writer, any number of readers. `ingest` calls
 /// are externally serialized; `snapshot`, `adjacency`, `stats`,
@@ -45,9 +45,10 @@
 /// acknowledged batch is one WAL frame, logged once and un-routed (the
 /// hash re-routes it identically on replay), between the prepare and
 /// commit phases. Checkpoints of every shard's run list at one epoch go
-/// to the pool every `checkpoint_every` batches. `recover()` loads the
-/// newest valid checkpoint, replays the WAL suffix through `ingest`, and
-/// attaches a fresh segment.
+/// to the pool every `checkpoint_every` batches, in the dense on-disk run
+/// layout. `recover()` loads the newest valid checkpoint, compresses its
+/// runs, replays the WAL suffix through `ingest`, and attaches a fresh
+/// segment.
 
 #include <cstddef>
 #include <cstdint>
@@ -132,9 +133,21 @@ class ShardedBuilder {
     if (auto ckpt = load_newest_checkpoint<value_type>(opts.wal_dir,
                                                        b.manifest_)) {
       start = ckpt->epoch;
+      // Each loaded run is dense; keep only its stored rows, releasing
+      // the dense copy before the next run is compressed.
+      std::vector<std::vector<typename State::Run>> runs(num_shards);
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        for (auto& loaded : ckpt->shards[s]) {
+          runs[s].push_back(
+              {std::make_shared<const typename State::RunMatrix>(
+                   State::RunMatrix::compress(*loaded.csr)),
+               loaded.weight});
+          loaded.csr.reset();
+        }
+      }
       util::MutexLock lock(b.st_->mu);
       for (std::size_t s = 0; s < num_shards; ++s) {
-        b.st_->shards[s].runs = std::move(ckpt->shards[s]);
+        b.st_->shards[s].runs = std::move(runs[s]);
         b.st_->shards[s].edges = ckpt->edges[s];
       }
       b.st_->epoch = start;
@@ -227,22 +240,20 @@ class ShardedBuilder {
     ingest(std::span<const graph::Edge>(batch.data(), batch.size()));
   }
 
-  /// Pin every shard's run list (shard order, oldest first within a
-  /// shard) in one critical section — O(live runs) shared_ptr copies —
-  /// into one `PinnedSnapshot` the reader traverses with no further
+  /// Pin every shard's run list (one group per shard, oldest first) in
+  /// one critical section — O(live runs) shared_ptr copies — into one
+  /// `PinnedSnapshot` the reader traverses with no further
   /// synchronization. Never throws past allocation: a queued background
   /// failure is peeked into `pending_error()`, not consumed.
   PinnedSnapshot<P> snapshot() const I2A_EXCLUDES(st_->mu) {
-    std::vector<typename State::RunPtr> runs;
+    std::vector<std::vector<typename State::RunPtr>> runs(st_->num_shards);
     std::exception_ptr pending;
     std::uint64_t epoch = 0;
     {
       util::MutexLock lock(st_->mu);
-      std::size_t live = 0;
-      for (const auto& l : st_->shards) live += l.runs.size();
-      runs.reserve(live);
-      for (const auto& l : st_->shards) {
-        for (const auto& r : l.runs) runs.push_back(r.csr);
+      for (std::size_t s = 0; s < st_->num_shards; ++s) {
+        runs[s].reserve(st_->shards[s].runs.size());
+        for (const auto& r : st_->shards[s].runs) runs[s].push_back(r.csr);
       }
       if (!st_->errors.empty()) pending = st_->errors.front();
       epoch = st_->epoch;
@@ -358,14 +369,6 @@ class ShardedBuilder {
       gc_checkpoints(dir, epoch);
       Wal::retire_segments(dir, epoch, active_seqno);
     });
-  }
-
-  static std::size_t shard_index(index_t src, std::size_t shards) {
-    auto x = static_cast<std::uint64_t>(src);
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x % static_cast<std::uint64_t>(shards));
   }
 
   std::shared_ptr<State> st_;

@@ -1,11 +1,13 @@
 /// \file test_merge.cpp
-/// \brief Differential + edge-case suite for the parallel semiring CSR
+/// \brief Differential + edge-case suite for the parallel semiring
 ///        ⊕-merge (sparse/merge.hpp): every engine output is bitwise
-///        -compared against `merge_add_reference` (a deliberately
+///        -compared against `merge_add_reference` below (a deliberately
 ///        independent concatenate/stable-sort/fold-left oracle) across
-///        pool sizes, and the Definition I.5 zero-dropping knob and the
-///        exception-from-chunk semantics are pinned explicitly.
+///        pool sizes and both input and output layouts (dense `Csr`,
+///        hypersparse `Dcsr`), and the Definition I.5 zero-dropping knob
+///        and the exception-from-chunk semantics are pinned explicitly.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -14,6 +16,7 @@
 
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/dcsr.hpp"
 #include "sparse/merge.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
@@ -24,6 +27,54 @@ using namespace i2a;
 namespace {
 
 using i2a::test::csr_bitwise_equal;
+using i2a::test::dcsr_bitwise_equal;
+
+/// Serial oracle (the `from_coo_reference` pattern): per row, concatenate
+/// the runs' entries in run order, stable sort by column, fold left.
+/// Deliberately shares no code with the engine.
+template <typename T, typename Add>
+sparse::Csr<T> merge_add_reference(const std::vector<const sparse::Csr<T>*>& runs,
+                                   const Add& add,
+                                   const T* drop_zero = nullptr) {
+  const index_t nrows = runs.at(0)->nrows();
+  const index_t ncols = runs[0]->ncols();
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
+  std::vector<index_t> cols;
+  std::vector<T> vals;
+  std::vector<std::pair<index_t, T>> buf;
+  for (index_t r = 0; r < nrows; ++r) {
+    buf.clear();
+    for (const auto* m : runs) {
+      const auto cs = m->row_cols(r);
+      const auto vs = m->row_vals(r);
+      for (std::size_t i = 0; i < cs.size(); ++i) {
+        buf.emplace_back(cs[i], vs[i]);
+      }
+    }
+    std::stable_sort(
+        buf.begin(), buf.end(),
+        [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (std::size_t i = 0; i < buf.size();) {
+      T acc = buf[i].second;
+      std::size_t j = i + 1;
+      for (; j < buf.size() && buf[j].first == buf[i].first; ++j) {
+        acc = add(acc, buf[j].second);
+      }
+      if (drop_zero == nullptr || !(acc == *drop_zero)) {
+        cols.push_back(buf[i].first);
+        vals.push_back(acc);
+        ++row_ptr[static_cast<std::size_t>(r) + 1];
+      }
+      i = j;
+    }
+  }
+  for (index_t r = 0; r < nrows; ++r) {
+    row_ptr[static_cast<std::size_t>(r) + 1] +=
+        row_ptr[static_cast<std::size_t>(r)];
+  }
+  return sparse::Csr<T>(nrows, ncols, std::move(row_ptr), std::move(cols),
+                        std::move(vals));
+}
 
 double plus(const double& a, const double& b) { return a + b; }
 
@@ -45,7 +96,7 @@ sparse::Csr<double> random_csr(index_t nr, index_t nc, index_t nnz,
 /// Engine vs oracle across pool sizes {serial, 1, 4, 8}, bitwise.
 void check_matches_reference(const std::vector<const sparse::Csr<double>*>& runs,
                              const double* drop_zero = nullptr) {
-  const auto expected = sparse::merge_add_reference(runs, plus, drop_zero);
+  const auto expected = merge_add_reference(runs, plus, drop_zero);
   const auto serial = sparse::merge_add_k(runs, plus, nullptr, drop_zero);
   CHECK(csr_bitwise_equal(serial, expected));
   for (const std::size_t threads : {1u, 4u, 8u}) {
@@ -121,9 +172,9 @@ void test_kway_random() {
   const auto fwd = sparse::merge_add_k(runs, keep_right);
   const auto rev = sparse::merge_add_k(reversed, keep_right);
   CHECK(csr_bitwise_equal(fwd,
-                      sparse::merge_add_reference(runs, keep_right)));
+                      merge_add_reference(runs, keep_right)));
   CHECK(csr_bitwise_equal(rev,
-                      sparse::merge_add_reference(reversed, keep_right)));
+                      merge_add_reference(reversed, keep_right)));
 }
 
 void test_explicit_zero_entries() {
@@ -189,7 +240,7 @@ void test_exception_from_chunk() {
       // The pool must remain serviceable after capturing the throw.
       const auto ok = sparse::merge_add(a, b, plus, &pool);
       CHECK(csr_bitwise_equal(
-          ok, sparse::merge_add_reference<double>({&a, &b}, plus)));
+          ok, merge_add_reference<double>({&a, &b}, plus)));
     }
   }
 }
@@ -223,6 +274,173 @@ void test_zero_row_matrices() {
   CHECK_EQ(merged.nnz(), 0);
 }
 
+/// n x n-ish run whose non-empty rows are exactly `rows`, each holding
+/// 1..4 random columns; values are small integers (negative ones too when
+/// `signed_vals`, so a + fold can cancel to zero).
+sparse::Csr<double> rows_csr(index_t nr, index_t nc,
+                             const std::vector<index_t>& rows,
+                             std::uint64_t seed, bool signed_vals) {
+  util::Xoshiro256 rng(seed);
+  sparse::Coo<double> coo(nr, nc);
+  for (const index_t r : rows) {
+    const auto per_row = static_cast<int>(1 + rng.next() % 4);
+    for (int i = 0; i < per_row; ++i) {
+      const auto c = static_cast<index_t>(
+          rng.next() % static_cast<std::uint64_t>(nc));
+      const auto v = static_cast<double>(1 + rng.next() % 3);
+      coo.push(r, c, signed_vals && rng.next() % 2 ? -v : v);
+    }
+  }
+  return sparse::Csr<double>::from_coo(std::move(coo),
+                                       sparse::DupPolicy::kKeepFirst);
+}
+
+/// The rows a run-set shape stores for run `i` of `k`.
+std::vector<index_t> shape_rows(int shape, index_t nr, std::size_t i,
+                                std::size_t k, util::Xoshiro256& rng) {
+  std::vector<index_t> rows;
+  switch (shape) {
+    case 0:  // hypersparse: a few random rows each, overlapping by chance
+      for (int j = 0; j < 5; ++j) {
+        rows.push_back(static_cast<index_t>(
+            rng.next() % static_cast<std::uint64_t>(nr)));
+      }
+      break;
+    case 1:  // disjoint row sets: run i owns rows ≡ i (mod k)
+      for (index_t r = static_cast<index_t>(i); r < nr;
+           r += static_cast<index_t>(k)) {
+        rows.push_back(r);
+      }
+      break;
+    case 2:  // every row non-empty
+      for (index_t r = 0; r < nr; ++r) rows.push_back(r);
+      break;
+    default:  // empty run, except the first (row 0 and the last row)
+      if (i == 0) rows = {0, nr - 1};
+      break;
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+/// The new kernel against the oracle on both output layouts, over
+/// hypersparse, dense and mixed inputs, k = 1..8, pools {serial, 1, 4},
+/// with and without zero-dropping.
+void test_layout_differential() {
+  const index_t nr = 37;
+  const index_t nc = 29;
+  const double zero = 0.0;
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  pools.push_back(std::make_unique<util::ThreadPool>(1));
+  pools.push_back(std::make_unique<util::ThreadPool>(4));
+  std::uint64_t seed = 1000;
+  for (std::size_t k = 1; k <= 8; ++k) {
+    for (int shape = 0; shape < 4; ++shape) {
+      for (const bool dropping : {false, true}) {
+        util::Xoshiro256 rng(++seed);
+        std::vector<sparse::Csr<double>> dense;
+        for (std::size_t i = 0; i < k; ++i) {
+          dense.push_back(rows_csr(nr, nc, shape_rows(shape, nr, i, k, rng),
+                                   rng.next(), dropping));
+        }
+        std::vector<sparse::Dcsr<double>> hyper;
+        std::vector<const sparse::Csr<double>*> dense_ptrs;
+        for (const auto& m : dense) {
+          hyper.push_back(sparse::Dcsr<double>::compress(m));
+          dense_ptrs.push_back(&m);
+          CHECK(csr_bitwise_equal(hyper.back().to_csr(), m));
+        }
+        const double* dz = dropping ? &zero : nullptr;
+        const auto expected = merge_add_reference(dense_ptrs, plus, dz);
+        const auto expected_hyper = sparse::Dcsr<double>::compress(expected);
+        // Layout mixes: all hypersparse, all dense, alternating.
+        for (int mix = 0; mix < 3; ++mix) {
+          std::vector<sparse::RunRef<double>> refs;
+          for (std::size_t i = 0; i < k; ++i) {
+            const bool h = mix == 0 || (mix == 2 && i % 2 == 0);
+            if (h) {
+              refs.emplace_back(hyper[i]);
+            } else {
+              refs.emplace_back(dense[i]);
+            }
+          }
+          for (const auto& pool : pools) {
+            const auto d = sparse::merge_add_as<sparse::Csr<double>>(
+                refs, plus, pool.get(), dz);
+            const auto h = sparse::merge_add_as<sparse::Dcsr<double>>(
+                refs, plus, pool.get(), dz);
+            CHECK(csr_bitwise_equal(d, expected));
+            CHECK(dcsr_bitwise_equal(h, expected_hyper));
+            CHECK(h.is_canonical());
+          }
+        }
+        // The typed overloads: dense in/out and hypersparse in/out.
+        std::vector<const sparse::Dcsr<double>*> hyper_ptrs;
+        for (const auto& m : hyper) hyper_ptrs.push_back(&m);
+        CHECK(csr_bitwise_equal(sparse::merge_add_k(dense_ptrs, plus, nullptr, dz),
+                                expected));
+        CHECK(dcsr_bitwise_equal(
+            sparse::merge_add_k(hyper_ptrs, plus, nullptr, dz),
+            expected_hyper));
+      }
+    }
+  }
+}
+
+/// The DCSR layout itself: compress/to_csr round trip, row lookup, the
+/// dense row pointer it generates, and the canonical-form validator.
+void test_dcsr_layout() {
+  const auto dense = rows_csr(20, 10, {0, 3, 4, 19}, 5, false);
+  const auto h = sparse::Dcsr<double>::compress(dense);
+  CHECK(h.is_canonical());
+  CHECK_EQ(h.stored_rows(), 4u);
+  CHECK(h.row_ids() == (std::vector<index_t>{0, 3, 4, 19}));
+  CHECK_EQ(h.nnz(), dense.nnz());
+  CHECK(csr_bitwise_equal(h.to_csr(), dense));
+  for (index_t r = 0; r < 20; ++r) {
+    const index_t k = h.find_row(r);
+    CHECK_EQ(k >= 0, dense.row_nnz(r) > 0);
+    if (k >= 0) {
+      const auto cs = h.stored_cols(k);
+      const auto ds = dense.row_cols(r);
+      CHECK(std::equal(cs.begin(), cs.end(), ds.begin(), ds.end()));
+    }
+  }
+  const auto tail = sparse::Dcsr<double>::compress(
+      rows_csr(20, 10, {5, 9, 10}, 6, false));
+  CHECK_EQ(tail.find_row(0), -1);
+  CHECK_EQ(tail.find_row(5), 0);
+  CHECK_EQ(tail.find_row(7), -1);
+  CHECK_EQ(tail.find_row(9), 1);
+  CHECK_EQ(tail.find_row(10), 2);
+  CHECK_EQ(tail.find_row(19), -1);
+  std::vector<index_t> rp;
+  h.for_each_dense_row_ptr([&rp](index_t r, index_t v) {
+    CHECK_EQ(static_cast<std::size_t>(r), rp.size());
+    rp.push_back(v);
+  });
+  CHECK(rp == dense.row_ptr());
+  const sparse::Dcsr<double> empty(7, 7, {}, {0}, {}, {});
+  CHECK(empty.is_canonical());
+  CHECK(csr_bitwise_equal(empty.to_csr(),
+                          sparse::Csr<double>(7, 7, std::vector<index_t>(8, 0),
+                                              {}, {})));
+  // Each malformed layout is refused by the validator.
+  using D = sparse::Dcsr<double>;
+  CHECK(!D(4, 4, {1, 1}, {0, 1, 2}, {0, 1}, {1.0, 1.0}).is_canonical());
+  CHECK(!D(4, 4, {2, 1}, {0, 1, 2}, {0, 1}, {1.0, 1.0}).is_canonical());
+  CHECK(!D(4, 4, {1, 4}, {0, 1, 2}, {0, 1}, {1.0, 1.0}).is_canonical());
+  CHECK(!D(4, 4, {-1, 2}, {0, 1, 2}, {0, 1}, {1.0, 1.0}).is_canonical());
+  CHECK(!D(4, 4, {1, 2}, {0, 0, 2}, {0, 1}, {1.0, 1.0}).is_canonical());
+  CHECK(!D(4, 4, {1, 2}, {0, 1, 1}, {0}, {1.0}).is_canonical());
+  CHECK(!D(4, 4, {1}, {1, 2}, {0, 1}, {1.0, 1.0}).is_canonical());
+  CHECK(!D(4, 4, {1}, {0, 2}, {1, 1}, {1.0, 1.0}).is_canonical());
+  CHECK(!D(4, 4, {1}, {0, 2}, {1, 4}, {1.0, 1.0}).is_canonical());
+  CHECK(D(4, 4, {1, 3}, {0, 2, 3}, {0, 3, 2}, {1.0, 1.0, 1.0}).is_canonical());
+}
+
 }  // namespace
 
 int main() {
@@ -234,5 +452,7 @@ int main() {
   test_exception_from_chunk();
   test_shape_mismatch_rejected();
   test_zero_row_matrices();
+  test_layout_differential();
+  test_dcsr_layout();
   return TEST_MAIN_RESULT();
 }

@@ -1107,6 +1107,155 @@ void test_checkpoint_write_allocation_bound() {
   CHECK(csr_bitwise_equal(*loaded.shards[0][0].csr, *csr));
 }
 
+/// The newest checkpoint file in `dir` ("" when there is none).
+std::string newest_checkpoint(const std::string& dir) {
+  std::string newest;
+  for (const std::string& name : util::list_dir(dir)) {
+    if (stream::parse_checkpoint_name(name)) newest = dir + "/" + name;
+  }
+  return newest;
+}
+
+/// The edges of `batch` that `router` sends to shard `s`.
+std::vector<graph::Edge> routed_part(const Sharded& router, std::size_t s,
+                                     const std::vector<graph::Edge>& batch) {
+  std::vector<graph::Edge> part;
+  for (const auto& e : batch) {
+    if (router.shard_of(e.src) == s) part.push_back(e);
+  }
+  return part;
+}
+
+sparse::Csr<double> rebuild_edges(const std::vector<graph::Edge>& edges) {
+  const PT p{};
+  graph::Graph g(kN);
+  for (const auto& e : edges) g.add_edge(e.src, e.dst, e.weight);
+  return graph::adjacency_array(p, graph::incidence_arrays(g, p));
+}
+
+/// Builder checkpoints keep the dense file bytes although the builder
+/// holds its runs hypersparse: at {1, 4} shards × {kInline, kBackground}
+/// on ThreadPool(4), the newest checkpoint file equals
+/// `write_checkpoint_reference` over dense copies of the same runs. A run
+/// of weight w on shard s folds the next w batches that sent s edges, so
+/// each copy is an independent rebuild of exactly those edges.
+void test_builder_checkpoint_bytes_match_reference() {
+  const auto batches = trial_batches(71);
+  util::ThreadPool pool(4);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (const auto mode :
+         {stream::Compaction::kInline, stream::Compaction::kBackground}) {
+      TempDir td;
+      Options opts = durable_opts(td.path);
+      opts.pool = &pool;
+      opts.compaction = mode;
+      opts.checkpoint_every = 5;
+      {
+        Sharded b(kN, shards, PT{}, opts);
+        for (const auto& batch : batches) b.ingest(batch);
+        b.drain();
+        CHECK(b.stats().checkpoints > 0);
+      }
+      const std::string path = newest_checkpoint(td.path);
+      CHECK(!path.empty());
+      if (path.empty()) continue;
+      const std::uint64_t epoch = *stream::parse_checkpoint_name(
+          path.substr(td.path.size() + 1));
+      const stream::WalManifest manifest{stream::algebra_tag<PT>(), kN,
+                                         static_cast<std::uint32_t>(shards),
+                                         0};
+      const auto loaded = stream::parse_checkpoint<double>(path, manifest);
+      CHECK_EQ(loaded.epoch, epoch);
+      const Sharded router(kN, shards, PT{});
+      RunLists<double> dense(shards);
+      std::vector<std::uint64_t> edges(shards, 0);
+      for (std::size_t s = 0; s < shards; ++s) {
+        std::vector<std::vector<graph::Edge>> parts;
+        for (std::uint64_t b = 0; b < epoch; ++b) {
+          auto part = routed_part(router, s, batches[b]);
+          edges[s] += part.size();
+          if (!part.empty()) parts.push_back(std::move(part));
+        }
+        std::size_t next = 0;
+        for (const auto& run : loaded.shards[s]) {
+          std::vector<graph::Edge> folded;
+          for (std::uint64_t w = 0; w < run.weight && next < parts.size();
+               ++w, ++next) {
+            folded.insert(folded.end(), parts[next].begin(),
+                          parts[next].end());
+          }
+          dense[s].push_back(
+              {std::make_shared<const sparse::Csr<double>>(
+                   rebuild_edges(folded)),
+               run.weight});
+        }
+        CHECK_EQ(next, parts.size());
+      }
+      CHECK(loaded.edges == edges);
+      const std::string reference = td.path + "/reference.bin";
+      write_checkpoint_reference<double>(reference, manifest, epoch, dense,
+                                         edges);
+      CHECK(util::read_file(path) == util::read_file(reference));
+    }
+  }
+}
+
+/// A checkpoint written from dense `CheckpointRun`s — the way a caller
+/// outside the builder writes one — recovers into hypersparse runs whose
+/// adjacency is byte-identical to the rebuild, and keeps ingesting
+/// correctly on top of them.
+void test_recover_from_dense_checkpoint() {
+  const auto batches = trial_batches(81);
+  const std::size_t half = batches.size() / 2;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    TempDir td;
+    const stream::WalManifest manifest{stream::algebra_tag<PT>(), kN,
+                                       static_cast<std::uint32_t>(shards), 0};
+    const Sharded router(kN, shards, PT{});
+    // Per shard: one run folding the first half of its non-empty parts,
+    // then one weight-1 run per later part.
+    RunLists<double> runs(shards);
+    std::vector<std::uint64_t> edges(shards, 0);
+    std::size_t total_runs = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      std::vector<graph::Edge> head;
+      std::uint64_t head_weight = 0;
+      std::vector<std::vector<graph::Edge>> tail;
+      for (std::size_t b = 0; b + 1 < batches.size(); ++b) {
+        auto part = routed_part(router, s, batches[b]);
+        edges[s] += part.size();
+        if (part.empty()) continue;
+        if (b < half) {
+          head.insert(head.end(), part.begin(), part.end());
+          ++head_weight;
+        } else {
+          tail.push_back(std::move(part));
+        }
+      }
+      if (head_weight > 0) {
+        runs[s].push_back({std::make_shared<const sparse::Csr<double>>(
+                               rebuild_edges(head)),
+                           head_weight});
+      }
+      for (const auto& part : tail) {
+        runs[s].push_back(
+            {std::make_shared<const sparse::Csr<double>>(rebuild_edges(part)),
+             1});
+      }
+      total_runs += runs[s].size();
+    }
+    const std::uint64_t epoch = batches.size() - 1;
+    stream::write_checkpoint<double>(td.path, manifest, epoch, runs, edges);
+    Sharded r = Sharded::recover(kN, shards, PT{}, durable_opts(td.path));
+    CHECK_EQ(r.stats().batches, epoch);
+    CHECK_EQ(static_cast<std::size_t>(r.num_levels()), total_runs);
+    CHECK(csr_bitwise_equal(r.adjacency(), oracle_prefix(kN, batches, epoch)));
+    r.ingest(batches.back());
+    CHECK(csr_bitwise_equal(r.adjacency(),
+                            oracle_prefix(kN, batches, batches.size())));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Durable failpoint sweep — the wal.append.*, checkpoint.write, and
 // recover.replay sites slot into the PR 8 injection methodology:
@@ -1499,6 +1648,8 @@ int main(int argc, char** argv) {
   test_checkpoint_streamed_bytes_match_reference();
   test_segment_discovery_allocation_bound();
   test_checkpoint_write_allocation_bound();
+  test_builder_checkpoint_bytes_match_reference();
+  test_recover_from_dense_checkpoint();
 #if I2A_FAILPOINTS_ENABLED
   std::printf("test_recovery: failpoints ENABLED — durable site sweep\n");
   test_wal_append_failpoints();

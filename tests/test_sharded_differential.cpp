@@ -196,6 +196,90 @@ void test_sharded_empty_batches_and_validation() {
   }
 }
 
+/// Every row of `snap` through the owner-routed `fold_row` equals the same
+/// row of its own `materialize()`, byte for byte.
+template <typename P>
+void check_rows_match_materialize(const stream::PinnedSnapshot<P>& snap) {
+  const auto dense = snap.materialize();
+  auto scratch = snap.row_scratch();
+  for (index_t r = 0; r < snap.num_vertices(); ++r) {
+    std::vector<index_t> cols;
+    std::vector<double> vals;
+    snap.fold_row(r, scratch, [&](index_t c, const double& v) {
+      cols.push_back(c);
+      vals.push_back(v);
+    });
+    const auto dc = dense.row_cols(r);
+    const auto dv = dense.row_vals(r);
+    CHECK(cols == std::vector<index_t>(dc.begin(), dc.end()));
+    CHECK(vals == std::vector<double>(dv.begin(), dv.end()));
+  }
+}
+
+/// `fold_row` walks only shard_of(r)'s runs. At {1, 3, 4, 7} shards, on
+/// a stream whose edges leave four vertices (0, n − 1 and two others, so
+/// most rows are empty and some shards hold no runs at all), every row
+/// of every pin equals that pin's `materialize()` row — for pins taken
+/// right after each ingest, read again after later background merges
+/// retired their runs, and for the pin after `drain()`.
+template <typename P>
+void run_owner_routed_fold_row(const P& p, stream::Weighting weighting,
+                               util::ThreadPool* pool) {
+  const index_t n = 40;
+  const index_t sources[] = {0, n - 1, 5, 17};
+  graph::Graph g(n);
+  util::Xoshiro256 rng(0xF01Du);
+  for (int i = 0; i < 240; ++i) {
+    g.add_edge(sources[rng.next() % 4],
+               static_cast<index_t>(rng.next() %
+                                    static_cast<std::uint64_t>(n)),
+               static_cast<double>(1 + rng.next() % 9));
+  }
+  stream::Options opts;
+  opts.weighting = weighting;
+  opts.pool = pool;
+  opts.compaction = stream::Compaction::kBackground;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
+                                   std::size_t{4}, std::size_t{7}}) {
+    stream::ShardedBuilder<P> b(n, shards, p, opts);
+    std::vector<bool> owns_source(shards, false);
+    for (const index_t v : sources) owns_source[b.shard_of(v)] = true;
+    const auto empty_shards =
+        std::count(owns_source.begin(), owns_source.end(), false);
+    if (shards == 7) CHECK(empty_shards >= 3);
+    const auto& edges = g.edges();
+    std::vector<stream::PinnedSnapshot<P>> pins;
+    std::vector<sparse::Csr<double>> oracles;
+    graph::Graph prefix(n);
+    for (std::size_t lo = 0; lo < edges.size(); lo += 13) {
+      const std::size_t hi = std::min(edges.size(), lo + 13);
+      b.ingest(std::span<const graph::Edge>(edges.data() + lo, hi - lo));
+      for (std::size_t i = lo; i < hi; ++i) {
+        prefix.add_edge(edges[i].src, edges[i].dst, edges[i].weight);
+      }
+      pins.push_back(b.snapshot());
+      oracles.push_back(rebuild(p, weighting, prefix));
+      check_rows_match_materialize(pins.back());
+    }
+    b.drain();
+    const auto settled = b.snapshot();
+    check_rows_match_materialize(settled);
+    CHECK(csr_bitwise_equal(settled.materialize(), oracles.back()));
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      check_rows_match_materialize(pins[i]);
+      CHECK(csr_bitwise_equal(pins[i].materialize(), oracles[i]));
+    }
+  }
+}
+
+void test_owner_routed_fold_row() {
+  util::ThreadPool pool(4);
+  run_owner_routed_fold_row(algebra::PlusTimes<double>{},
+                            stream::Weighting::kUnweighted, &pool);
+  run_owner_routed_fold_row(algebra::MinPlus<double>{},
+                            stream::Weighting::kWeighted, &pool);
+}
+
 }  // namespace
 
 int main() {
@@ -203,5 +287,6 @@ int main() {
   test_empty_shards();
   test_power_law_keys();
   test_sharded_empty_batches_and_validation();
+  test_owner_routed_fold_row();
   return TEST_MAIN_RESULT();
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "sparse/csr.hpp"
+#include "sparse/dcsr.hpp"
 
 namespace i2a::test {
 inline int failures = 0;
@@ -19,6 +20,15 @@ bool csr_bitwise_equal(const sparse::Csr<T>& a, const sparse::Csr<T>& b) {
   return a.nrows() == b.nrows() && a.ncols() == b.ncols() &&
          a.row_ptr() == b.row_ptr() && a.cols() == b.cols() &&
          a.vals() == b.vals();
+}
+
+/// Bitwise DCSR equality: shape, stored row ids, row pointer, columns
+/// and values.
+template <typename T>
+bool dcsr_bitwise_equal(const sparse::Dcsr<T>& a, const sparse::Dcsr<T>& b) {
+  return a.nrows() == b.nrows() && a.ncols() == b.ncols() &&
+         a.row_ids() == b.row_ids() && a.row_ptr() == b.row_ptr() &&
+         a.cols() == b.cols() && a.vals() == b.vals();
 }
 
 }  // namespace i2a::test

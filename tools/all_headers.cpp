@@ -34,6 +34,7 @@
 #include "graph/validators.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/dcsr.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/merge.hpp"
 #include "sparse/spgemm.hpp"
