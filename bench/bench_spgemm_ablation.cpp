@@ -250,18 +250,22 @@ void spgemm_point(benchmark::State& state, index_t n, double density,
       (static_cast<double>(state.iterations()) * static_cast<double>(n));
 }
 
+/// Grid arguments are (n, expected nnz per row); density = nnz/row / n.
+double grid_density(const benchmark::State& state) {
+  return static_cast<double>(state.range(1)) /
+         static_cast<double>(state.range(0));
+}
+
 void two_pass_point(benchmark::State& state, SpGemmAlgo algo) {
   const algebra::PlusTimes<double> p;
-  spgemm_point(state, state.range(0),
-               1e-3 * static_cast<double>(state.range(1)),
+  spgemm_point(state, state.range(0), grid_density(state),
                [&](const auto& a, const auto& b) {
                  return sparse::spgemm(p, a, b, algo);
                });
 }
 void legacy_point(benchmark::State& state, SpGemmAlgo algo) {
   const algebra::PlusTimes<double> p;
-  spgemm_point(state, state.range(0),
-               1e-3 * static_cast<double>(state.range(1)),
+  spgemm_point(state, state.range(0), grid_density(state),
                [&](const auto& a, const auto& b) {
                  return legacy::spgemm(p, a, b, algo);
                });
@@ -289,16 +293,24 @@ void BM_SpGemmLegacy_Heap(benchmark::State& state) {
   legacy_point(state, SpGemmAlgo::kHeap);
 }
 
-// Ablation grid: density sweep at n=1024 (0.1%, 1%, 5%) plus a size
-// sweep at 1% — identical points for the engine and the legacy kernel so
-// the JSON carries the comparison directly.
-#define I2A_ABLATION_GRID(bm)                                          \
-  BENCHMARK(bm)                                                        \
-      ->Args({1024, 1})                                                \
-      ->Args({1024, 10})                                               \
-      ->Args({1024, 50})                                               \
-      ->Args({256, 10})                                                \
-      ->Args({2048, 10})
+// Ablation grid, as (n, nnz/row) — identical points for every kernel
+// so the JSON carries the comparison directly:
+//  - a density sweep at n = 1024 (~0.1%, 1%, 5%) and a size sweep at
+//    ~1% (256, 2048);
+//  - a dense-output point (n = 4096 at 64/row: the product is ~63% full);
+//  - wide outputs past the 2^15-column dense-accumulator threshold
+//    (n = 65,536 and 262,144 at 4–8/row).
+#define I2A_ABLATION_GRID(bm) \
+  BENCHMARK(bm)               \
+      ->Args({1024, 1})       \
+      ->Args({1024, 10})      \
+      ->Args({1024, 50})      \
+      ->Args({256, 3})        \
+      ->Args({2048, 20})      \
+      ->Args({4096, 64})      \
+      ->Args({65536, 4})      \
+      ->Args({65536, 8})      \
+      ->Args({262144, 4})
 
 I2A_ABLATION_GRID(BM_SpGemm_Gustavson);
 I2A_ABLATION_GRID(BM_SpGemm_Hash);
