@@ -1,22 +1,17 @@
 /// \file bench_spgemm_ablation.cpp
-/// \brief PERF2: SpGEMM ablation — the two-pass engine (Gustavson, hash,
-///        heap, auto) against the retired single-pass vector-of-vectors
-///        kernel, the dense full-semantics baseline, and the fused AᵀB
-///        incidence shape, across density and size.
+/// \brief PERF2: SpGEMM ablation — the engine's row kernels (Gustavson,
+///        hash, heap, auto) against the dense full-semantics baseline,
+///        and the fused AᵀB incidence shape, across density and size.
 ///
 /// Every run lands in BENCH_spgemm.json (override with --benchmark_out),
 /// with two machine-readable signals per point: items/s (semiring flops,
 /// or edges for the incidence shape) and `allocs_per_row`, the global
-/// operator-new count per output row — the proxy that proves the numeric
-/// pass performs zero per-row heap allocations while the legacy kernel
-/// pays two per nonempty row.
+/// operator-new count per output row — the proxy that proves the engine
+/// performs zero per-row heap allocations.
 
 #define I2A_BENCH_COUNT_ALLOCS
 #include "bench_common.hpp"
 
-#include <algorithm>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "algebra/pairs.hpp"
@@ -27,198 +22,6 @@ namespace {
 
 using namespace i2a;
 using sparse::SpGemmAlgo;
-
-/// The pre-engine kernel, kept verbatim as the ablation baseline: each
-/// output row staged through its own pair of vectors, stitched at the
-/// end. This is what the ROADMAP open item retired.
-namespace legacy {
-
-template <typename P, typename T>
-void row_gustavson(const P& p, const sparse::Csr<T>& a,
-                   const sparse::Csr<T>& b, index_t i, std::vector<T>& acc,
-                   std::vector<index_t>& stamp, index_t generation,
-                   std::vector<index_t>& touched,
-                   std::vector<index_t>& out_cols, std::vector<T>& out_vals) {
-  touched.clear();
-  const auto acols = a.row_cols(i);
-  const auto avals = a.row_vals(i);
-  for (std::size_t ka = 0; ka < acols.size(); ++ka) {
-    const index_t k = acols[ka];
-    const T av = avals[ka];
-    const auto bcols = b.row_cols(k);
-    const auto bvals = b.row_vals(k);
-    for (std::size_t kb = 0; kb < bcols.size(); ++kb) {
-      const index_t j = bcols[kb];
-      const T term = p.mul(av, bvals[kb]);
-      if (stamp[static_cast<std::size_t>(j)] != generation) {
-        stamp[static_cast<std::size_t>(j)] = generation;
-        acc[static_cast<std::size_t>(j)] = term;
-        touched.push_back(j);
-      } else {
-        acc[static_cast<std::size_t>(j)] =
-            p.add(acc[static_cast<std::size_t>(j)], term);
-      }
-    }
-  }
-  std::sort(touched.begin(), touched.end());
-  for (const index_t j : touched) {
-    out_cols.push_back(j);
-    out_vals.push_back(acc[static_cast<std::size_t>(j)]);
-  }
-}
-
-template <typename P, typename T>
-void row_hash(const P& p, const sparse::Csr<T>& a, const sparse::Csr<T>& b,
-              index_t i, std::vector<std::pair<index_t, T>>& scratch,
-              std::vector<index_t>& out_cols, std::vector<T>& out_vals) {
-  std::size_t prods = 0;
-  for (const index_t k : a.row_cols(i)) {
-    prods += static_cast<std::size_t>(b.row_nnz(k));
-  }
-  if (prods == 0) return;
-  std::size_t cap = 16;
-  while (cap < 2 * prods) cap <<= 1;
-  std::vector<index_t> keys(cap, index_t{-1});
-  std::vector<T> slots(cap);
-  const auto acols = a.row_cols(i);
-  const auto avals = a.row_vals(i);
-  for (std::size_t ka = 0; ka < acols.size(); ++ka) {
-    const index_t k = acols[ka];
-    const T av = avals[ka];
-    const auto bcols = b.row_cols(k);
-    const auto bvals = b.row_vals(k);
-    for (std::size_t kb = 0; kb < bcols.size(); ++kb) {
-      const index_t j = bcols[kb];
-      const T term = p.mul(av, bvals[kb]);
-      std::size_t h =
-          (static_cast<std::size_t>(j) * 0x9e3779b97f4a7c15ULL) & (cap - 1);
-      for (;;) {
-        if (keys[h] == j) {
-          slots[h] = p.add(slots[h], term);
-          break;
-        }
-        if (keys[h] == index_t{-1}) {
-          keys[h] = j;
-          slots[h] = term;
-          break;
-        }
-        h = (h + 1) & (cap - 1);
-      }
-    }
-  }
-  scratch.clear();
-  for (std::size_t h = 0; h < cap; ++h) {
-    if (keys[h] != index_t{-1}) scratch.emplace_back(keys[h], slots[h]);
-  }
-  std::sort(scratch.begin(), scratch.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  for (const auto& [col, val] : scratch) {
-    out_cols.push_back(col);
-    out_vals.push_back(val);
-  }
-}
-
-template <typename P, typename T>
-void row_heap(const P& p, const sparse::Csr<T>& a, const sparse::Csr<T>& b,
-              index_t i, std::vector<index_t>& out_cols,
-              std::vector<T>& out_vals) {
-  struct Cursor {
-    index_t col;
-    std::size_t ka;
-    std::size_t pos;
-  };
-  const auto acols = a.row_cols(i);
-  const auto avals = a.row_vals(i);
-  auto cmp = [](const Cursor& x, const Cursor& y) { return x.col > y.col; };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(cmp)> heap(cmp);
-  for (std::size_t ka = 0; ka < acols.size(); ++ka) {
-    const auto bcols = b.row_cols(acols[ka]);
-    if (!bcols.empty()) heap.push(Cursor{bcols[0], ka, 0});
-  }
-  bool open = false;
-  index_t cur_col = 0;
-  T cur_val{};
-  while (!heap.empty()) {
-    const Cursor c = heap.top();
-    heap.pop();
-    const auto brow_cols = b.row_cols(acols[c.ka]);
-    const auto brow_vals = b.row_vals(acols[c.ka]);
-    const T term = p.mul(avals[c.ka], brow_vals[c.pos]);
-    if (open && c.col == cur_col) {
-      cur_val = p.add(cur_val, term);
-    } else {
-      if (open) {
-        out_cols.push_back(cur_col);
-        out_vals.push_back(cur_val);
-      }
-      open = true;
-      cur_col = c.col;
-      cur_val = term;
-    }
-    if (c.pos + 1 < brow_cols.size()) {
-      heap.push(Cursor{brow_cols[c.pos + 1], c.ka, c.pos + 1});
-    }
-  }
-  if (open) {
-    out_cols.push_back(cur_col);
-    out_vals.push_back(cur_val);
-  }
-}
-
-template <typename P>
-sparse::Csr<typename P::value_type> spgemm(
-    const P& p, const sparse::Csr<typename P::value_type>& a,
-    const sparse::Csr<typename P::value_type>& b, SpGemmAlgo algo) {
-  using T = typename P::value_type;
-  const index_t nrows = a.nrows();
-  std::vector<std::vector<index_t>> chunk_cols(
-      static_cast<std::size_t>(nrows));
-  std::vector<std::vector<T>> chunk_vals(static_cast<std::size_t>(nrows));
-  std::vector<T> acc;
-  std::vector<index_t> stamp;
-  std::vector<index_t> touched;
-  std::vector<std::pair<index_t, T>> hash_scratch;
-  if (algo == SpGemmAlgo::kGustavson) {
-    acc.resize(static_cast<std::size_t>(b.ncols()));
-    stamp.assign(static_cast<std::size_t>(b.ncols()), index_t{-1});
-  }
-  for (index_t i = 0; i < nrows; ++i) {
-    auto& oc = chunk_cols[static_cast<std::size_t>(i)];
-    auto& ov = chunk_vals[static_cast<std::size_t>(i)];
-    switch (algo) {
-      case SpGemmAlgo::kGustavson:
-        row_gustavson(p, a, b, i, acc, stamp, i, touched, oc, ov);
-        break;
-      case SpGemmAlgo::kHash:
-        row_hash(p, a, b, i, hash_scratch, oc, ov);
-        break;
-      default:
-        row_heap(p, a, b, i, oc, ov);
-        break;
-    }
-  }
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
-  for (index_t i = 0; i < nrows; ++i) {
-    row_ptr[static_cast<std::size_t>(i) + 1] =
-        row_ptr[static_cast<std::size_t>(i)] +
-        static_cast<index_t>(chunk_cols[static_cast<std::size_t>(i)].size());
-  }
-  const auto total = static_cast<std::size_t>(row_ptr.back());
-  std::vector<index_t> cols(total);
-  std::vector<T> vals(total);
-  for (index_t i = 0; i < nrows; ++i) {
-    const auto& oc = chunk_cols[static_cast<std::size_t>(i)];
-    const auto& ov = chunk_vals[static_cast<std::size_t>(i)];
-    std::copy(oc.begin(), oc.end(),
-              cols.begin() + row_ptr[static_cast<std::size_t>(i)]);
-    std::copy(ov.begin(), ov.end(),
-              vals.begin() + row_ptr[static_cast<std::size_t>(i)]);
-  }
-  return sparse::Csr<T>(nrows, b.ncols(), std::move(row_ptr), std::move(cols),
-                        std::move(vals));
-}
-
-}  // namespace legacy
 
 index_t flops_of(const sparse::Csr<double>& a, const sparse::Csr<double>& b) {
   index_t flops = 0;
@@ -263,13 +66,6 @@ void two_pass_point(benchmark::State& state, SpGemmAlgo algo) {
                  return sparse::spgemm(p, a, b, algo);
                });
 }
-void legacy_point(benchmark::State& state, SpGemmAlgo algo) {
-  const algebra::PlusTimes<double> p;
-  spgemm_point(state, state.range(0), grid_density(state),
-               [&](const auto& a, const auto& b) {
-                 return legacy::spgemm(p, a, b, algo);
-               });
-}
 
 void BM_SpGemm_Gustavson(benchmark::State& state) {
   two_pass_point(state, SpGemmAlgo::kGustavson);
@@ -282,15 +78,6 @@ void BM_SpGemm_Heap(benchmark::State& state) {
 }
 void BM_SpGemm_Auto(benchmark::State& state) {
   two_pass_point(state, SpGemmAlgo::kAuto);
-}
-void BM_SpGemmLegacy_Gustavson(benchmark::State& state) {
-  legacy_point(state, SpGemmAlgo::kGustavson);
-}
-void BM_SpGemmLegacy_Hash(benchmark::State& state) {
-  legacy_point(state, SpGemmAlgo::kHash);
-}
-void BM_SpGemmLegacy_Heap(benchmark::State& state) {
-  legacy_point(state, SpGemmAlgo::kHeap);
 }
 
 // Ablation grid, as (n, nnz/row) — identical points for every kernel
@@ -316,9 +103,6 @@ I2A_ABLATION_GRID(BM_SpGemm_Gustavson);
 I2A_ABLATION_GRID(BM_SpGemm_Hash);
 I2A_ABLATION_GRID(BM_SpGemm_Heap);
 I2A_ABLATION_GRID(BM_SpGemm_Auto);
-I2A_ABLATION_GRID(BM_SpGemmLegacy_Gustavson);
-I2A_ABLATION_GRID(BM_SpGemmLegacy_Hash);
-I2A_ABLATION_GRID(BM_SpGemmLegacy_Heap);
 
 // Dense full-semantics baseline (the paper's literal definition) — small
 // sizes only; demonstrates why sparse shortcuts matter.
@@ -335,13 +119,12 @@ void BM_SpGemm_DenseBaseline(benchmark::State& state) {
 BENCHMARK(BM_SpGemm_DenseBaseline)->Arg(128)->Arg(256)->Arg(512);
 
 // The paper's product shape: tall incidence arrays, Eᵀ E (few columns).
-// Three variants: the fused engine, the fused engine over a prebuilt CSC
-// view (the repeated-product form), and the legacy materialize-the-
-// transpose path. Items are edges, so items/s is edges/s; all three
-// share one workload builder so they measure the same problem, and all
-// three report allocs_per_row. `make_product(eout, ein)` runs once
-// outside the timed loop, so per-instance state (the prebuilt view)
-// lands there.
+// Two variants: the fused engine, and the fused engine over a prebuilt
+// CSC view (the repeated-product form). Items are edges, so items/s is
+// edges/s; both share one workload builder so they measure the same
+// problem, and both report allocs_per_row. `make_product(eout, ein)`
+// runs once outside the timed loop, so per-instance state (the prebuilt
+// view) lands there.
 template <typename MakeProduct>
 void incidence_point(benchmark::State& state, MakeProduct&& make_product) {
   const index_t edges = state.range(0);
@@ -379,21 +162,9 @@ void BM_SpGemm_IncidenceShapePrebuilt(benchmark::State& state) {
     };
   });
 }
-void BM_SpGemmLegacy_IncidenceShape(benchmark::State& state) {
-  const algebra::PlusTimes<double> p;
-  incidence_point(state, [&](const auto& eout, const auto& ein) {
-    return [&p, &eout, &ein] {
-      return legacy::spgemm(p, sparse::transpose(eout), ein,
-                            SpGemmAlgo::kGustavson);
-    };
-  });
-}
 
 BENCHMARK(BM_SpGemm_IncidenceShape)->RangeMultiplier(4)->Range(1024, 65536);
 BENCHMARK(BM_SpGemm_IncidenceShapePrebuilt)
-    ->RangeMultiplier(4)
-    ->Range(1024, 65536);
-BENCHMARK(BM_SpGemmLegacy_IncidenceShape)
     ->RangeMultiplier(4)
     ->Range(1024, 65536);
 
