@@ -1,7 +1,8 @@
 /// \file bench_spgemm_ablation.cpp
 /// \brief PERF2: SpGEMM ablation — the engine's row kernels (Gustavson,
-///        hash, heap, auto) against the dense full-semantics baseline,
-///        and the fused AᵀB incidence shape, across density and size.
+///        heap, and kAuto's width rule) against the dense full-semantics
+///        baseline, and the fused AᵀB incidence shape, across density,
+///        size and output width.
 ///
 /// Every run lands in BENCH_spgemm.json (override with --benchmark_out),
 /// with two machine-readable signals per point: items/s (semiring flops,
@@ -59,7 +60,7 @@ double grid_density(const benchmark::State& state) {
          static_cast<double>(state.range(0));
 }
 
-void two_pass_point(benchmark::State& state, SpGemmAlgo algo) {
+void engine_point(benchmark::State& state, SpGemmAlgo algo) {
   const algebra::PlusTimes<double> p;
   spgemm_point(state, state.range(0), grid_density(state),
                [&](const auto& a, const auto& b) {
@@ -68,16 +69,13 @@ void two_pass_point(benchmark::State& state, SpGemmAlgo algo) {
 }
 
 void BM_SpGemm_Gustavson(benchmark::State& state) {
-  two_pass_point(state, SpGemmAlgo::kGustavson);
-}
-void BM_SpGemm_Hash(benchmark::State& state) {
-  two_pass_point(state, SpGemmAlgo::kHash);
+  engine_point(state, SpGemmAlgo::kGustavson);
 }
 void BM_SpGemm_Heap(benchmark::State& state) {
-  two_pass_point(state, SpGemmAlgo::kHeap);
+  engine_point(state, SpGemmAlgo::kHeap);
 }
 void BM_SpGemm_Auto(benchmark::State& state) {
-  two_pass_point(state, SpGemmAlgo::kAuto);
+  engine_point(state, SpGemmAlgo::kAuto);
 }
 
 // Ablation grid, as (n, nnz/row) — identical points for every kernel
@@ -100,7 +98,6 @@ void BM_SpGemm_Auto(benchmark::State& state) {
       ->Args({262144, 4})
 
 I2A_ABLATION_GRID(BM_SpGemm_Gustavson);
-I2A_ABLATION_GRID(BM_SpGemm_Hash);
 I2A_ABLATION_GRID(BM_SpGemm_Heap);
 I2A_ABLATION_GRID(BM_SpGemm_Auto);
 

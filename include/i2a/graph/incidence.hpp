@@ -135,8 +135,8 @@ struct IncidenceViews {
 };
 
 /// The paper's construction: A = Eᵀout ⊕.⊗ Ein, on the fused CSC-view
-/// path (no transpose is ever materialized). kAuto lets the engine pick
-/// the accumulator per row from the symbolic pass's estimates.
+/// path (no transpose is ever materialized). kAuto picks the row kernel
+/// from the output width (sparse/spgemm.hpp).
 template <typename P>
   requires algebra::Semiring<P>
 sparse::Csr<typename P::value_type> adjacency_array(

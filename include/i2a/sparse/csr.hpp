@@ -6,7 +6,7 @@
 ///        `transpose` / `CscView`.
 ///
 /// Assembly engine (PR 3). `from_coo` no longer comparison-sorts the
-/// entry list. It mirrors the two-pass SpGEMM design (sparse/spgemm.hpp):
+/// entry list. It is a two-pass engine, the shape sparse/merge.hpp shares:
 ///
 ///   1. **count** — entry chunks build per-chunk row histograms;
 ///   2. **stitch** — one serial sweep turns the histograms into the
@@ -338,7 +338,7 @@ class Csr {
   /// Validating factory: like the raw constructor but rejects malformed
   /// input with `std::invalid_argument` instead of trusting the caller.
   /// Use at ingestion boundaries; the kernels assume canonical CSR (the
-  /// SpGEMM symbolic pass sizes rows by it, the heap merge and `at`'s
+  /// SpGEMM slab reserve sizes rows by it, the heap merges and `at`'s
   /// binary search require sorted columns).
   static Csr checked(index_t nrows, index_t ncols,
                      std::vector<index_t> row_ptr, std::vector<index_t> cols,

@@ -23,8 +23,8 @@
 /// hypersparse, so a merge costs O(k · stored rows + entries) and not
 /// O(n); otherwise every row, skipped after one emptiness test per input.
 ///
-/// Engine shape — the same two-pass scheme as the SpGEMM and assembly
-/// engines (sparse/spgemm.hpp, sparse/csr.hpp):
+/// Engine shape — the same two-pass scheme as the assembly engine
+/// (sparse/csr.hpp):
 ///
 ///   1. **count** — chunks of candidate rows load each row's non-empty
 ///      inputs into a cursor frontier (chunk-id-indexed scratch reused

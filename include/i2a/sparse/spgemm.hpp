@@ -1,48 +1,39 @@
 #pragma once
 /// \file sparse/spgemm.hpp
-/// \brief Two-pass sparse general matrix-matrix multiply over an
-///        arbitrary operator pair ⊕.⊗: a symbolic pass sizes every output
-///        row, a prefix sum stitches the final CSR arrays once, and a
-///        numeric pass writes each row directly into its final slot.
+/// \brief Sparse general matrix-matrix multiply over an arbitrary
+///        operator pair ⊕.⊗: one fused chunk-slab engine with two row
+///        kernels, the dense-accumulator scatter (Gustavson) and the
+///        k-way heap merge.
 ///
 /// All kernels implement the *sparse shortcut* semantics: only
 /// stored⊗stored terms enter the ⊕ fold. By Theorem II.1 this equals the
 /// full fold whenever the pair conforms (zero is an annihilator, the
 /// carrier is zero-sum-free and has no zero divisors) — the seven paper
-/// pairs all qualify.
+/// pairs all qualify. Which kernel folds a row is therefore an
+/// implementation detail: kernels differ only in the ⊕ order of
+/// colliding terms, which no exactly associative carrier can see.
 ///
-/// Engine shape (the top ROADMAP perf item, now retired). The symbolic
-/// strategy is per algorithm — exact two-pass where counting is cheap
-/// relative to the numeric kernel, a fused chunk-slab pass where an
-/// exact count would repeat the whole kernel:
+/// Engine shape. Each row chunk computes its rows once into a contiguous
+/// slab — the scatter (resp. the merge) *is* the symbolic count, so
+/// exact per-row sizes fall out as a byproduct — and a prefix sum
+/// stitches each slab into the final arrays with one block copy, or
+/// moves a serial run's slab out copy-free. A row with a single stored
+/// A entry is B(k,:) mapped through ⊗ and skips both kernels.
 ///
-///   kHash / kAuto — exact two-pass. Symbolic: epoch-stamped
-///               open-addressing distinct count per row (no O(ncols)
-///               arrays); kAuto also records flops and picks a kernel
-///               per row from the (flops, nnz) estimates. One prefix sum
-///               sizes the final arrays; the numeric pass writes each
-///               row directly into its final slot.
-///   kGustavson / kHeap — fused chunk-slab pass: the dense-accumulator
-///               scatter (resp. the k-way merge) *is* the symbolic
-///               count, so each chunk computes its rows once into a
-///               contiguous slab (reserved to the chunk's capped flops
-///               bound) and the prefix-sum stitch copies each slab into
-///               place in one block — or moves it out copy-free when
-///               the run is serial.
+/// `SpGemmAlgo::kAuto` picks the kernel from the output width alone:
+/// the dense accumulator while it stays cache-comfortable
+/// (`b.ncols() <= 2^15`), the heap merge past that.
 ///
-/// In every path, scratch (dense accumulator, hash table, merge heap,
-/// sort buffer, slabs) is chunk-local and reused across rows: zero
-/// per-row heap allocations in steady state, and no vector-of-vectors
-/// row staging anywhere.
+/// Scratch (dense accumulator, merge heap, slabs) is chunk-local and
+/// reused across rows: zero per-row heap allocations in steady state.
 ///
 /// Parallel runs use ThreadPool::parallel_for_chunks; because every row
 /// lands at a prefix-sum-determined offset and each row's computation is
 /// independent and deterministic, the output is byte-identical across
 /// pool sizes (including serial).
 
+
 #include <algorithm>
-#include <cassert>
-#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -58,9 +49,8 @@ namespace i2a::sparse {
 
 enum class SpGemmAlgo {
   kGustavson,  ///< dense accumulator + touched-column list (SPA)
-  kHash,       ///< open-addressing hash accumulator per row
   kHeap,       ///< k-way merge of B rows via a binary heap
-  kAuto,       ///< per-row choice from the symbolic pass's flop/nnz stats
+  kAuto,       ///< kGustavson up to 2^15 output columns, kHeap past that
 };
 
 namespace detail {
@@ -96,70 +86,6 @@ index_t row_flops(const AV& a, const Csr<T>& b, index_t i) {
   return f;
 }
 
-/// Open-addressing accumulator with epoch-stamped slots. The table is
-/// chunk-local: it grows geometrically to the largest row seen in the
-/// chunk and is reset per row in O(1) by bumping the epoch, so steady
-/// state performs no allocation at all. Capacity keeps load factor
-/// <= 1/2 given the caller's distinct-key upper bound, so probing always
-/// terminates.
-template <typename T>
-class HashAcc {
- public:
-  void begin_row(index_t distinct_upper) {
-    std::size_t want = 16;
-    while (want < 2 * static_cast<std::size_t>(distinct_upper)) want <<= 1;
-    if (want > keys_.size()) {
-      keys_.assign(want, 0);
-      epoch_of_.assign(want, 0);
-      vals_.resize(want);
-      epoch_ = 0;
-      shift_ = 64;
-      for (std::size_t c = want; c > 1; c >>= 1) --shift_;
-    }
-    ++epoch_;
-    used_.clear();
-  }
-
-  /// Insert-or-find `j`; `fresh` reports whether the key is new this row.
-  std::size_t upsert(index_t j, bool& fresh) {
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t h =
-        static_cast<std::size_t>(
-            (static_cast<std::uint64_t>(j) * 0x9e3779b97f4a7c15ULL) >>
-            shift_) &
-        mask;
-    for (;;) {
-      if (epoch_of_[h] != epoch_) {
-        epoch_of_[h] = epoch_;
-        keys_[h] = j;
-        used_.push_back(h);
-        fresh = true;
-        return h;
-      }
-      if (keys_[h] == j) {
-        fresh = false;
-        return h;
-      }
-      h = (h + 1) & mask;
-    }
-  }
-
-  T& val(std::size_t slot) { return vals_[slot]; }
-  index_t key(std::size_t slot) const { return keys_[slot]; }
-  index_t count() const { return static_cast<index_t>(used_.size()); }
-  std::span<const std::size_t> used() const {
-    return std::span<const std::size_t>(used_.data(), used_.size());
-  }
-
- private:
-  std::vector<index_t> keys_;
-  std::vector<std::uint64_t> epoch_of_;
-  std::vector<T> vals_;
-  std::vector<std::size_t> used_;  // slots live in the current epoch
-  std::uint64_t epoch_ = 0;
-  int shift_ = 64;  // 64 - log2(capacity): multiply-shift hash start
-};
-
 /// One stream of the k-way merge: `col` is the head column, `ka` the
 /// A-entry the stream belongs to, `pos` the cursor within the B row.
 struct HeapCursor {
@@ -191,9 +117,8 @@ inline void cursor_heapify(std::vector<HeapCursor>& h) {
   for (std::size_t i = h.size() / 2; i-- > 0;) cursor_sift_down(h, i);
 }
 
-/// All chunk-local working memory, allocated lazily per algorithm and
-/// reused across every row of the chunk — and across the symbolic and
-/// numeric passes, which index the same scratch by chunk id.
+/// All chunk-local working memory, allocated lazily per kernel and
+/// reused across every row of the chunk.
 template <typename T>
 struct ChunkScratch {
   // Gustavson: dense accumulator + generation stamps + touched list.
@@ -201,9 +126,6 @@ struct ChunkScratch {
   std::vector<index_t> stamp;
   std::vector<index_t> touched;
   index_t generation = 0;
-  // Hash: accumulator table + (col, val) sort buffer for ordered emit.
-  HashAcc<T> hash;
-  std::vector<std::pair<index_t, T>> emit;
   // Heap: merge cursors + per-stream hoists (B-row pointers and the A
   // value), so the pop loop never reconstructs spans.
   std::vector<HeapCursor> heap;
@@ -221,26 +143,19 @@ struct ChunkScratch {
   }
 };
 
-/// Exact row nnz via hash distinct-count (hash / auto symbolic): no
-/// O(ncols) dense array, table sized by min(flops, ncols).
-template <typename AV, typename T>
-index_t symbolic_row_hash(const AV& a, const Csr<T>& b, index_t i,
-                          index_t distinct_upper, ChunkScratch<T>& s) {
-  s.hash.begin_row(distinct_upper);
-  bool fresh;
-  for (const index_t k : a.row_cols(i)) {
-    for (const index_t j : b.row_cols(k)) s.hash.upsert(j, fresh);
-  }
-  return s.hash.count();
-}
+/// One chunk's output: its rows' entries, concatenated in row order.
+template <typename T>
+struct Slab {
+  std::vector<index_t> cols;
+  std::vector<T> vals;
+};
 
-/// Gustavson scatter: accumulate row `i` into the dense accumulator,
-/// leaving `s.touched` sorted and `s.acc` holding the folded values.
-/// Callers emit from there — into a final slot (exact two-pass) or a
-/// chunk slab (fused Gustavson path).
+/// Gustavson row kernel: scatter row `i` into the dense accumulator,
+/// then append the sorted touched columns and their folded values to
+/// the slab.
 template <typename P, typename AV, typename T>
-void gustavson_scatter(const P& p, const AV& a, const Csr<T>& b, index_t i,
-                       ChunkScratch<T>& s) {
+void gustavson_row(const P& p, const AV& a, const Csr<T>& b, index_t i,
+                   ChunkScratch<T>& s, Slab<T>& slab) {
   const index_t gen = s.generation++;
   s.touched.clear();
   const auto acols = a.row_cols(i);
@@ -265,62 +180,18 @@ void gustavson_scatter(const P& p, const AV& a, const Csr<T>& b, index_t i,
     }
   }
   std::sort(s.touched.begin(), s.touched.end());
+  for (const index_t j : s.touched) {
+    slab.cols.push_back(j);
+    slab.vals.push_back(s.acc[static_cast<std::size_t>(j)]);
+  }
 }
 
-/// Numeric Gustavson: scatter, then gather the sorted touched list
-/// straight into the row's final slot.
+/// Heap row kernel: k-way merge of the B rows named by A(i,:), appending
+/// (col, value) pairs to the slab in strictly increasing column order —
+/// no sort, no accumulator.
 template <typename P, typename AV, typename T>
-void numeric_row_gustavson(const P& p, const AV& a, const Csr<T>& b,
-                           index_t i, ChunkScratch<T>& s, index_t* out_cols,
-                           T* out_vals) {
-  gustavson_scatter(p, a, b, i, s);
-  for (std::size_t t = 0; t < s.touched.size(); ++t) {
-    out_cols[t] = s.touched[t];
-    out_vals[t] = s.acc[static_cast<std::size_t>(s.touched[t])];
-  }
-}
-
-/// Numeric hash: accumulate in the epoch-stamped table (sized exactly by
-/// the symbolic count), then sort the live entries into the final slot.
-template <typename P, typename AV, typename T>
-void numeric_row_hash(const P& p, const AV& a, const Csr<T>& b, index_t i,
-                      index_t row_nnz, ChunkScratch<T>& s, index_t* out_cols,
-                      T* out_vals) {
-  s.hash.begin_row(row_nnz);
-  bool fresh;
-  const auto acols = a.row_cols(i);
-  const auto avals = a.gather_row_vals(i, s.stream_aval);
-  for (std::size_t ka = 0; ka < acols.size(); ++ka) {
-    const index_t k = acols[ka];
-    const T av = avals[ka];
-    const auto bcols = b.row_cols(k);
-    const auto bvals = b.row_vals(k);
-    for (std::size_t kb = 0; kb < bcols.size(); ++kb) {
-      const index_t j = bcols[kb];
-      const T term = p.mul(av, bvals[kb]);
-      const std::size_t slot = s.hash.upsert(j, fresh);
-      s.hash.val(slot) = fresh ? term : p.add(s.hash.val(slot), term);
-    }
-  }
-  s.emit.clear();
-  for (const std::size_t slot : s.hash.used()) {
-    s.emit.emplace_back(s.hash.key(slot), s.hash.val(slot));
-  }
-  std::sort(s.emit.begin(), s.emit.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  for (std::size_t t = 0; t < s.emit.size(); ++t) {
-    out_cols[t] = s.emit[t].first;
-    out_vals[t] = s.emit[t].second;
-  }
-}
-
-/// Heap merge of row `i`, emitting (col, value) pairs in strictly
-/// increasing column order through `emit` — no sort, no accumulator.
-/// The emitter abstracts the destination: direct final-slot writes for
-/// the exact two-pass engine, slab appends for the chunked engine.
-template <typename P, typename AV, typename T, typename Emit>
 void heap_merge_row(const P& p, const AV& a, const Csr<T>& b, index_t i,
-                    ChunkScratch<T>& s, Emit&& emit) {
+                    ChunkScratch<T>& s, Slab<T>& slab) {
   auto& heap = s.heap;
   heap.clear();
   s.stream_bcols.clear();
@@ -352,7 +223,10 @@ void heap_merge_row(const P& p, const AV& a, const Csr<T>& b, index_t i,
     if (open && col == cur_col) {
       cur_val = p.add(cur_val, term);
     } else {
-      if (open) emit(cur_col, cur_val);
+      if (open) {
+        slab.cols.push_back(cur_col);
+        slab.vals.push_back(cur_val);
+      }
       open = true;
       cur_col = col;
       cur_val = term;
@@ -368,71 +242,39 @@ void heap_merge_row(const P& p, const AV& a, const Csr<T>& b, index_t i,
       if (!heap.empty()) cursor_sift_down(heap, 0);
     }
   }
-  if (open) emit(cur_col, cur_val);
-}
-
-/// Final-slot form of the heap merge for the exact two-pass engine.
-template <typename P, typename AV, typename T>
-index_t numeric_row_heap(const P& p, const AV& a, const Csr<T>& b, index_t i,
-                         ChunkScratch<T>& s, index_t* out_cols, T* out_vals) {
-  std::size_t t = 0;
-  heap_merge_row(p, a, b, i, s, [&](index_t col, const T& val) {
-    out_cols[t] = col;
-    out_vals[t] = val;
-    ++t;
-  });
-  return static_cast<index_t>(t);
-}
-
-/// kAuto per-row policy, fed by the symbolic pass:
-///  - flops == nnz means no column ever collides, so with few streams the
-///    allocator-free merge wins (no accumulator, no sort);
-///  - a row filling a decent fraction of a small-ish output width wants
-///    the dense accumulator (O(1) scatter, cache-resident);
-///  - everything else (sparse rows of wide outputs, high compression)
-///    goes to the hash accumulator.
-inline SpGemmAlgo pick_row_algo(std::size_t a_row_nnz, index_t flops,
-                                index_t nnz, index_t b_ncols) {
-  if (flops == nnz && a_row_nnz <= 8) return SpGemmAlgo::kHeap;
-  if (b_ncols <= 256 || nnz >= b_ncols / 8) return SpGemmAlgo::kGustavson;
-  return SpGemmAlgo::kHash;
+  if (open) {
+    slab.cols.push_back(cur_col);
+    slab.vals.push_back(cur_val);
+  }
 }
 
 // run_chunked — the shared fork/join driver — lives in sparse/csr.hpp's
-// detail namespace now: the COO→CSR assembly engine and the parallel
-// transpose/CscView builders (PR 3) use the same chunk decomposition.
+// detail namespace: the COO→CSR assembly engine and the parallel
+// transpose/CscView builders use the same chunk decomposition.
 
-/// Chunk-slab engine for the kernels whose exact symbolic pass would
-/// repeat their whole numeric cost (Gustavson's scatter *is* the count;
-/// an exact heap symbolic would run the merge twice). Each chunk
-/// computes its rows once into a contiguous chunk slab — exact per-row
-/// counts fall out as a byproduct — and the prefix-sum stitch copies
-/// each slab into the final arrays in one contiguous block. This is the
-/// ROADMAP-prescribed shape: per-chunk contiguous col/val buffers
-/// stitched by prefix sum, zero per-row allocations (slabs grow
-/// geometrically, amortized across the chunk), peak memory O(output +
-/// slack) regardless of the flops/nnz compression ratio.
-/// `total_flops_hint` (optional, -1 = unknown) lets a caller that has
-/// already scanned the structure (kAuto's matrix-level tier) skip the
-/// per-chunk reserve rescan — the hint is apportioned by row share.
+/// The SpGEMM engine (shape in the file comment), generic over the
+/// A-operand view (CSR rows or a CSC view of the untransposed matrix).
+/// Slabs grow geometrically, amortized across the chunk, so peak memory
+/// is O(output + slack) regardless of the flops/nnz compression ratio.
 template <typename P, typename AV>
 Csr<typename P::value_type> spgemm_chunk_slab(
     const P& p, const AV& a, const Csr<typename P::value_type>& b,
-    SpGemmAlgo algo, util::ThreadPool* pool,
-    index_t total_flops_hint = -1) {
+    SpGemmAlgo algo, util::ThreadPool* pool) {
   using T = typename P::value_type;
+  // Injection site: the product's working-set allocations. A fire means
+  // the product produced nothing; both operands are untouched, so callers
+  // staging a batch delta lose only that staging attempt.
+  I2A_FAILPOINT("spgemm.numeric.alloc");
   const index_t nrows = a.nrows();
   const index_t b_ncols = b.ncols();
+  if (algo == SpGemmAlgo::kAuto) {
+    algo = b_ncols <= (index_t{1} << 15) ? SpGemmAlgo::kGustavson
+                                         : SpGemmAlgo::kHeap;
+  }
   const bool parallel = pool != nullptr && pool->size() > 1 && nrows > 0;
   const index_t nchunks = parallel ? pool->num_chunks(nrows) : 1;
-  std::vector<detail::ChunkScratch<T>> scratch(
-      static_cast<std::size_t>(nchunks));
-
-  struct Slab {
-    std::vector<index_t> cols;
-    std::vector<T> vals;
-  };
-  std::vector<Slab> slabs(static_cast<std::size_t>(nchunks));
+  std::vector<ChunkScratch<T>> scratch(static_cast<std::size_t>(nchunks));
+  std::vector<Slab<T>> slabs(static_cast<std::size_t>(nchunks));
   std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
 
   run_chunked(
@@ -448,12 +290,8 @@ Csr<typename P::value_type> spgemm_chunk_slab(
         const index_t reserve_cap =
             std::max<index_t>(index_t{1} << 20, 2 * b.nnz());
         index_t ub = 0;
-        if (total_flops_hint >= 0) {
-          ub = total_flops_hint * (hi - lo) / (nrows > 0 ? nrows : 1);
-        } else {
-          for (index_t i = lo; i < hi; ++i) {
-            ub += std::min(row_flops(a, b, i), b_ncols);
-          }
+        for (index_t i = lo; i < hi; ++i) {
+          ub += std::min(row_flops(a, b, i), b_ncols);
         }
         ub = std::min(ub, reserve_cap);
         slab.cols.reserve(static_cast<std::size_t>(ub));
@@ -473,16 +311,9 @@ Csr<typename P::value_type> spgemm_chunk_slab(
             }
           } else if (!acols.empty()) {
             if (algo == SpGemmAlgo::kGustavson) {
-              gustavson_scatter(p, a, b, i, s);
-              for (const index_t j : s.touched) {
-                slab.cols.push_back(j);
-                slab.vals.push_back(s.acc[static_cast<std::size_t>(j)]);
-              }
-            } else {  // kHeap
-              heap_merge_row(p, a, b, i, s, [&](index_t col, const T& val) {
-                slab.cols.push_back(col);
-                slab.vals.push_back(val);
-              });
+              gustavson_row(p, a, b, i, s, slab);
+            } else {
+              heap_merge_row(p, a, b, i, s, slab);
             }
           }
           row_ptr[static_cast<std::size_t>(i) + 1] =
@@ -524,160 +355,14 @@ Csr<typename P::value_type> spgemm_chunk_slab(
                 std::move(vals));
 }
 
-/// The two-pass engine, generic over the A-operand view (CSR rows or a
-/// CSC view of the untransposed matrix).
-template <typename P, typename AV>
-Csr<typename P::value_type> spgemm_two_pass(
-    const P& p, const AV& a, const Csr<typename P::value_type>& b,
-    SpGemmAlgo algo, util::ThreadPool* pool) {
-  using T = typename P::value_type;
-  // Injection site: the product's working-set allocations (every algo
-  // routes through here — chunk-slab included). A fire means the
-  // product produced nothing; both operands are untouched, so callers
-  // staging a batch delta lose only that staging attempt.
-  I2A_FAILPOINT("spgemm.numeric.alloc");
-  if (algo == SpGemmAlgo::kGustavson || algo == SpGemmAlgo::kHeap) {
-    return spgemm_chunk_slab(p, a, b, algo, pool);
-  }
-  const index_t nrows = a.nrows();
-  const index_t b_ncols = b.ncols();
-  std::vector<index_t> flops_cache;  // kAuto only; symbolic reuses it
-  if (algo == SpGemmAlgo::kAuto) {
-    // Matrix-level tier of the auto policy: when rows are tiny on
-    // average (the incidence-shape regime — avg flops/row ≈ vertex
-    // degree), the exact symbolic pass costs as much as the product
-    // itself, so take the fused chunk-slab engine instead. Gustavson
-    // while the dense accumulator stays cache-comfortable, heap for
-    // hyper-wide outputs. The per-row tier below only pays off once
-    // rows are heavy enough to amortize their symbolic count; the scan
-    // is kept (not redone) as the symbolic pass's flop source, and runs
-    // on the pool — serialized it would cap speedup at ~2x in exactly
-    // the tiny-row regime the tier exists for.
-    flops_cache.resize(static_cast<std::size_t>(nrows));
-    if (pool != nullptr && pool->size() > 1 && nrows > 0) {
-      pool->parallel_for_chunks(nrows, [&](index_t, index_t lo, index_t hi) {
-        for (index_t i = lo; i < hi; ++i) {
-          flops_cache[static_cast<std::size_t>(i)] = row_flops(a, b, i);
-        }
-      });
-    } else {
-      for (index_t i = 0; i < nrows; ++i) {
-        flops_cache[static_cast<std::size_t>(i)] = row_flops(a, b, i);
-      }
-    }
-    index_t total_flops = 0;
-    for (index_t i = 0; i < nrows; ++i) {
-      total_flops += flops_cache[static_cast<std::size_t>(i)];
-    }
-    if (total_flops < 32 * nrows) {
-      return spgemm_chunk_slab(
-          p, a, b,
-          b_ncols <= (index_t{1} << 15) ? SpGemmAlgo::kGustavson
-                                        : SpGemmAlgo::kHeap,
-          pool, total_flops);
-    }
-  }
-
-  // row_ptr doubles as the symbolic pass's per-row count buffer
-  // (row_ptr[i + 1] = nnz of row i) before the prefix sum runs.
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
-  std::vector<std::uint8_t> row_algo;
-  if (algo == SpGemmAlgo::kAuto) {
-    row_algo.assign(static_cast<std::size_t>(nrows),
-                    static_cast<std::uint8_t>(SpGemmAlgo::kHeap));
-  }
-
-  const bool parallel = pool != nullptr && pool->size() > 1 && nrows > 0;
-  const index_t nchunks = parallel ? pool->num_chunks(nrows) : 1;
-  std::vector<detail::ChunkScratch<T>> scratch(
-      static_cast<std::size_t>(nchunks));
-
-  run_chunked(
-      pool, parallel, nrows, [&](index_t chunk, index_t lo, index_t hi) {
-        auto& s = scratch[static_cast<std::size_t>(chunk)];
-        for (index_t i = lo; i < hi; ++i) {
-          const auto acols = a.row_cols(i);
-          index_t nnz = 0;
-          if (acols.size() <= 1) {
-            // 0 or 1 streams: no collisions possible, nnz is immediate —
-            // and the streaming merge is the optimal numeric kernel.
-            nnz = acols.empty() ? 0 : b.row_nnz(acols[0]);
-            if (algo == SpGemmAlgo::kAuto) {
-              row_algo[static_cast<std::size_t>(i)] =
-                  static_cast<std::uint8_t>(SpGemmAlgo::kHeap);
-            }
-          } else {  // kHash / kAuto: exact count, no O(ncols) dense array
-            const index_t flops =
-                algo == SpGemmAlgo::kAuto
-                    ? flops_cache[static_cast<std::size_t>(i)]
-                    : row_flops(a, b, i);
-            if (flops > 0) {
-              nnz = symbolic_row_hash(a, b, i, std::min(flops, b_ncols), s);
-            }
-            if (algo == SpGemmAlgo::kAuto) {
-              row_algo[static_cast<std::size_t>(i)] =
-                  static_cast<std::uint8_t>(
-                      pick_row_algo(acols.size(), flops, nnz, b_ncols));
-            }
-          }
-          row_ptr[static_cast<std::size_t>(i) + 1] = nnz;
-        }
-      });
-
-  // Stitch: one serial prefix sum sizes the output arrays exactly.
-  for (index_t i = 0; i < nrows; ++i) {
-    row_ptr[static_cast<std::size_t>(i) + 1] +=
-        row_ptr[static_cast<std::size_t>(i)];
-  }
-  std::vector<index_t> cols(static_cast<std::size_t>(row_ptr.back()));
-  std::vector<T> vals(static_cast<std::size_t>(row_ptr.back()));
-
-  run_chunked(
-      pool, parallel, nrows, [&](index_t chunk, index_t lo, index_t hi) {
-        auto& s = scratch[static_cast<std::size_t>(chunk)];
-        for (index_t i = lo; i < hi; ++i) {
-          const index_t offset = row_ptr[static_cast<std::size_t>(i)];
-          const index_t nnz =
-              row_ptr[static_cast<std::size_t>(i) + 1] - offset;
-          if (nnz == 0) continue;
-          index_t* out_cols = cols.data() + offset;
-          T* out_vals = vals.data() + offset;
-          SpGemmAlgo row = algo;
-          if (algo == SpGemmAlgo::kAuto) {
-            row = static_cast<SpGemmAlgo>(
-                row_algo[static_cast<std::size_t>(i)]);
-          } else if (a.row_cols(i).size() <= 1) {
-            row = SpGemmAlgo::kHeap;  // single stream: pure merge
-          }
-          switch (row) {
-            case SpGemmAlgo::kGustavson:
-              s.ensure_dense(b_ncols);
-              numeric_row_gustavson(p, a, b, i, s, out_cols, out_vals);
-              break;
-            case SpGemmAlgo::kHash:
-              numeric_row_hash(p, a, b, i, nnz, s, out_cols, out_vals);
-              break;
-            case SpGemmAlgo::kHeap:
-            case SpGemmAlgo::kAuto:  // unreachable: kAuto resolves per row
-              numeric_row_heap(p, a, b, i, s, out_cols, out_vals);
-              break;
-          }
-        }
-      });
-
-  return Csr<T>(nrows, b_ncols, std::move(row_ptr), std::move(cols),
-                std::move(vals));
-}
-
 }  // namespace detail
 
-/// C = A ⊕.⊗ B with sparse-shortcut semantics via the two-pass engine.
-/// `pool` enables row-chunk parallelism (each chunk owns private scratch
-/// shared between the symbolic and numeric passes); null or
-/// single-thread pools run serially. Output is byte-identical across
-/// pool sizes. The `Semiring` constraint rejects structurally malformed
-/// pairs and pairs that declare a broken ⊕/⊗ law at compile time
-/// (algebra/concepts.hpp).
+/// C = A ⊕.⊗ B with sparse-shortcut semantics. `pool` enables row-chunk
+/// parallelism (each chunk owns private scratch and an output slab);
+/// null or single-thread pools run serially. Output is byte-identical
+/// across pool sizes. The `Semiring` constraint rejects structurally
+/// malformed pairs and pairs that declare a broken ⊕/⊗ law at compile
+/// time (algebra/concepts.hpp).
 template <typename P>
   requires algebra::Semiring<P>
 Csr<typename P::value_type> spgemm(const P& p,
@@ -689,7 +374,8 @@ Csr<typename P::value_type> spgemm(const P& p,
   I2A_EXPECTS(a.ncols() == b.nrows(), "spgemm: inner dimensions disagree");
   I2A_EXPECTS(a.is_canonical(), "spgemm: A not canonical CSR");
   I2A_EXPECTS(b.is_canonical(), "spgemm: B not canonical CSR");
-  auto c = detail::spgemm_two_pass(p, detail::CsrRowsView<T>{a}, b, algo, pool);
+  auto c =
+      detail::spgemm_chunk_slab(p, detail::CsrRowsView<T>{a}, b, algo, pool);
   I2A_ENSURES(c.is_canonical(), "spgemm: non-canonical product");
   return c;
 }
@@ -708,7 +394,7 @@ Csr<typename P::value_type> spgemm_at_b(
   I2A_EXPECTS(at.ncols() == b.nrows(),
               "spgemm_at_b: inner dimensions disagree");
   I2A_EXPECTS(b.is_canonical(), "spgemm_at_b: B not canonical CSR");
-  auto c = detail::spgemm_two_pass(p, at, b, algo, pool);
+  auto c = detail::spgemm_chunk_slab(p, at, b, algo, pool);
   I2A_ENSURES(c.is_canonical(), "spgemm_at_b: non-canonical product");
   return c;
 }
@@ -729,7 +415,7 @@ Csr<typename P::value_type> spgemm_at_b(
   I2A_EXPECTS(a.is_canonical(), "spgemm_at_b: A not canonical CSR");
   I2A_EXPECTS(b.is_canonical(), "spgemm_at_b: B not canonical CSR");
   const CscView<typename P::value_type> at(a, pool);
-  auto c = detail::spgemm_two_pass(p, at, b, algo, pool);
+  auto c = detail::spgemm_chunk_slab(p, at, b, algo, pool);
   I2A_ENSURES(c.is_canonical(), "spgemm_at_b: non-canonical product");
   return c;
 }

@@ -11,8 +11,8 @@
 /// `parallel_for_chunks` additionally hands each chunk its id. The
 /// decomposition is a pure function of (n, size()) — `num_chunks(n)`
 /// predicts it — so callers can preallocate per-chunk scratch once and
-/// reuse it across consecutive passes (the SpGEMM engine's symbolic and
-/// numeric passes share accumulators this way).
+/// reuse it across consecutive passes (the SpGEMM engine's compute and
+/// stitch passes share the per-chunk output slabs this way).
 ///
 /// `submit` adds detached background execution (the streaming builder's
 /// compaction tasks): a fire-and-forget callable that runs on a worker

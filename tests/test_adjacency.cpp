@@ -84,9 +84,11 @@ void test_validator_rejects_wrong_patterns() {
 
 void test_construction_matches_definition() {
   const auto g = hand_graph();
-  for (int algo = 0; algo < 4; ++algo) {  // incl. kAuto
-    const auto a = graph::build_adjacency(
-        g, algebra::PlusTimes<double>{}, static_cast<sparse::SpGemmAlgo>(algo));
+  for (const auto algo :
+       {sparse::SpGemmAlgo::kGustavson, sparse::SpGemmAlgo::kHeap,
+        sparse::SpGemmAlgo::kAuto}) {
+    const auto a =
+        graph::build_adjacency(g, algebra::PlusTimes<double>{}, algo);
     CHECK(graph::is_adjacency_of(a, g, 0.0).ok);
     // +.* with unit incidence values counts parallel edges.
     CHECK_EQ(a.at(0, 1, 0.0), 2.0);

@@ -1,5 +1,5 @@
 /// \file test_csr_edge_cases.cpp
-/// \brief CSR invariants the SpGEMM symbolic pass now relies on:
+/// \brief CSR invariants the SpGEMM and merge kernels rely on:
 ///        duplicate-policy handling in COO→CSR assembly, `transpose`
 ///        round-trips (and the `CscView` that mirrors it without copying
 ///        values), and `Csr::checked` rejecting out-of-order columns and
@@ -113,8 +113,8 @@ void test_checked_accepts_canonical() {
 
 void test_checked_rejects_malformed() {
   using C = sparse::Csr<double>;
-  // Out-of-order columns within a row — the invariant the symbolic pass,
-  // the heap merge, and `at`'s binary search all lean on.
+  // Out-of-order columns within a row — the invariant the heap merges
+  // and `at`'s binary search lean on.
   CHECK(throws_invalid_argument(
       [] { C::checked(1, 5, {0, 2}, {3, 1}, {1.0, 2.0}); }));
   // Duplicate column within a row.

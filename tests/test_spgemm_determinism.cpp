@@ -1,5 +1,5 @@
 /// \file test_spgemm_determinism.cpp
-/// \brief The two-pass engine must be bit-deterministic: `spgemm` and the
+/// \brief The SpGEMM engine must be bit-deterministic: `spgemm` and the
 ///        fused `spgemm_at_b` return byte-identical CSR (row_ptr, cols,
 ///        vals) under pool sizes {1, 2, 8} and serially, for every
 ///        algorithm — on full-precision real values, where any change in
@@ -44,9 +44,9 @@ bool identical(const sparse::Csr<double>& a, const sparse::Csr<double>& b) {
   return i2a::test::csr_bitwise_equal(a, b);
 }
 
-constexpr sparse::SpGemmAlgo kAlgos[] = {
-    sparse::SpGemmAlgo::kGustavson, sparse::SpGemmAlgo::kHash,
-    sparse::SpGemmAlgo::kHeap, sparse::SpGemmAlgo::kAuto};
+constexpr sparse::SpGemmAlgo kAlgos[] = {sparse::SpGemmAlgo::kGustavson,
+                                         sparse::SpGemmAlgo::kHeap,
+                                         sparse::SpGemmAlgo::kAuto};
 
 void test_spgemm_pool_size_invariance() {
   const auto a = random_real_csr(211, 147, 2600, 21);

@@ -1,9 +1,10 @@
 /// \file test_spgemm_differential.cpp
 /// \brief Differential SpGEMM suite: every sparse kernel (Gustavson,
-///        hash, heap, auto) must be *exactly* equal to the dense
-///        full-semantics baseline, for all seven Table I operator pairs,
-///        serially and under pool sizes {1, 4}, across randomized shapes
-///        including empty matrices, empty rows, 1×1, and hyper-sparse.
+///        heap, auto) must be *exactly* equal to the dense full-semantics
+///        baseline, for all seven Table I operator pairs, serially and
+///        under pool sizes {1, 4}, across randomized shapes including
+///        empty matrices, empty rows, 1×1, hyper-sparse, both sides of
+///        kAuto's 2^15-column switch and a dense output.
 ///
 /// Exactness is achievable because inputs are integer-valued doubles in
 /// [1, 8]: every ⊗ product and ⊕ fold of the seven pairs is then exact
@@ -51,9 +52,9 @@ bool exact_eq(const sparse::Csr<double>& a, const sparse::Csr<double>& b) {
          a.vals() == b.vals();
 }
 
-constexpr sparse::SpGemmAlgo kAlgos[] = {
-    sparse::SpGemmAlgo::kGustavson, sparse::SpGemmAlgo::kHash,
-    sparse::SpGemmAlgo::kHeap, sparse::SpGemmAlgo::kAuto};
+constexpr sparse::SpGemmAlgo kAlgos[] = {sparse::SpGemmAlgo::kGustavson,
+                                         sparse::SpGemmAlgo::kHeap,
+                                         sparse::SpGemmAlgo::kAuto};
 
 template <typename P>
 void differential_case(const P& p, index_t m, index_t inner, index_t n,
@@ -91,6 +92,15 @@ void run_pair(const P& p, std::uint64_t seed) {
   differential_case(p, 16, 3, 50, 30, 40, seed + 7);    // narrow inner dim
   differential_case(p, 128, 2048, 32, 60, 300, seed + 8);  // hyper-sparse
   differential_case(p, 40, 40, 40, 15, 15, seed + 9);   // mostly empty rows
+  // kAuto's width switch: the widest output it folds with the dense
+  // accumulator, and the narrowest it hands to the heap merge. ~500
+  // entries per B row, so B rows share columns and the folds collide.
+  differential_case(p, 6, 12, index_t{1} << 15, 30, 6000, seed + 10);
+  differential_case(p, 6, 12, (index_t{1} << 15) + 1, 30, 6000, seed + 11);
+  // Dense output (~60% full): each row's min(flops, ncols) reserve
+  // overshoots its nnz by more than 1/8, so even the serial run stitches
+  // its slab instead of moving it out.
+  differential_case(p, 64, 64, 256, 512, 2048, seed + 12);
 }
 
 }  // namespace
