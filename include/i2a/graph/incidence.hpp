@@ -20,6 +20,7 @@
 /// independent: edge e always lands at slot e).
 
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -42,6 +43,8 @@ struct IncidencePair {
 /// Build Eout/Ein with caller-chosen entry values:
 /// `draw(edge_index, is_out)` must return a value that is nonzero in the
 /// intended algebra (the theorem's hypothesis on incidence arrays).
+/// Throws `std::out_of_range` when an edge names an endpoint outside
+/// [0, |V|) (`Graph::add_edge` only asserts, and `edges()` is writable).
 /// With a multi-thread `pool`, edge chunks fill their slots concurrently,
 /// so `draw` must then be safe to call concurrently for distinct edges
 /// (pure draws — constants, weight lookups — qualify; a shared stateful
@@ -69,7 +72,10 @@ IncidencePair<T> incidence_arrays_with(const Graph& g, Draw&& draw,
       pool, parallel, m, [&](index_t, index_t lo, index_t hi) {
         for (index_t e = lo; e < hi; ++e) {
           const Edge& ed = edges[static_cast<std::size_t>(e)];
-          assert(ed.src >= 0 && ed.src < n && ed.dst >= 0 && ed.dst < n);
+          if (ed.src < 0 || ed.src >= n || ed.dst < 0 || ed.dst >= n) {
+            throw std::out_of_range("i2a::graph: incidence_arrays: edge "
+                                    "endpoint out of range");
+          }
           out_ptr[static_cast<std::size_t>(e)] = e;
           in_ptr[static_cast<std::size_t>(e)] = e;
           out_cols[static_cast<std::size_t>(e)] = ed.src;
@@ -134,9 +140,11 @@ struct IncidenceViews {
       : eout_t(inc.eout, pool), ein_t(inc.ein, pool) {}
 };
 
-/// The paper's construction: A = Eᵀout ⊕.⊗ Ein, on the fused CSC-view
-/// path (no transpose is ever materialized). kAuto picks the row kernel
-/// from the output width (sparse/spgemm.hpp).
+/// The paper's construction: A = Eᵀout ⊕.⊗ Ein. With kAuto both
+/// operands are row singletons, so the product is the per-edge fold:
+/// A(i,j) is the ⊕-fold, in edge order, of Eout(e,i) ⊗ Ein(e,j) over the
+/// edges i→j, with no transpose view (sparse/spgemm.hpp). A forced
+/// kernel runs the fused CSC-view engine.
 template <typename P>
   requires algebra::Semiring<P>
 sparse::Csr<typename P::value_type> adjacency_array(

@@ -1,7 +1,10 @@
 /// \file test_adjacency.cpp
 /// \brief is_adjacency_of on hand-built graphs with self-loops and
 ///        parallel edges, the incidence→adjacency construction, and the
-///        reverse-graph corollary.
+///        reverse-graph corollary, and the rejection of out-of-range
+///        edge endpoints.
+
+#include <stdexcept>
 
 #include "algebra/pairs.hpp"
 #include "graph/graph.hpp"
@@ -9,6 +12,7 @@
 #include "graph/incidence.hpp"
 #include "graph/validators.hpp"
 #include "sparse/dense.hpp"
+#include "util/thread_pool.hpp"
 #include "test_util.hpp"
 
 using namespace i2a;
@@ -127,6 +131,30 @@ void test_weighted_incidence() {
   CHECK(graph::is_adjacency_of(a, g, p.zero()).ok);
 }
 
+void test_out_of_range_endpoints_throw() {
+  // `edges()` is writable and `add_edge` only asserts, so an endpoint
+  // outside [0, n) can reach incidence assembly in a Release build; it
+  // must be rejected there, before any product indexes by it.
+  const algebra::PlusTimes<double> p;
+  util::ThreadPool pool(4);
+  const graph::Edge bad_edges[] = {{0, 4, 1.0}, {4, 0, 1.0}, {-1, 2, 1.0},
+                                   {2, -1, 1.0}};
+  for (const graph::Edge& bad : bad_edges) {
+    auto g = hand_graph();
+    g.edges().push_back(bad);
+    for (util::ThreadPool* pl : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool}) {
+      bool threw = false;
+      try {
+        (void)graph::build_adjacency(g, p, sparse::SpGemmAlgo::kAuto, pl);
+      } catch (const std::out_of_range&) {
+        threw = true;
+      }
+      CHECK(threw);
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -135,5 +163,6 @@ int main() {
   test_construction_matches_definition();
   test_reverse_adjacency();
   test_weighted_incidence();
+  test_out_of_range_endpoints_throw();
   return TEST_MAIN_RESULT();
 }

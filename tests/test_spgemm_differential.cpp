@@ -4,7 +4,10 @@
 ///        baseline, for all seven Table I operator pairs, serially and
 ///        under pool sizes {1, 4}, across randomized shapes including
 ///        empty matrices, empty rows, 1×1, hyper-sparse, both sides of
-///        kAuto's 2^15-column switch and a dense output.
+///        kAuto's 2^15-column switch and a dense output. Incidence-shaped
+///        AᵀB operands (one entry per row) additionally pin kAuto's
+///        per-row fold to forced kGustavson bit for bit, real values
+///        included, and near-incidence operands to the engine.
 ///
 /// Exactness is achievable because inputs are integer-valued doubles in
 /// [1, 8]: every ⊗ product and ⊕ fold of the seven pairs is then exact
@@ -12,7 +15,10 @@
 /// difference between a kernel and the baseline is a real bug, not
 /// round-off.
 
+#include <algorithm>
 #include <cstdint>
+#include <type_traits>
+#include <vector>
 
 #include "algebra/pairs.hpp"
 #include "sparse/csr.hpp"
@@ -80,6 +86,137 @@ void differential_case(const P& p, index_t m, index_t inner, index_t n,
   }
 }
 
+/// What an incidence-shaped case stores per row: exactly one entry (the
+/// fold's shape), or one row perturbed to hold 0 or 2 entries, which
+/// must fall back to the engine.
+enum class RowShape { kIncidence, kOneEmptyRow, kOneDoubleRow };
+
+/// An m × n operand with one entry per row at `cols[e]`, real values in
+/// [0.5, 8) (or integers in [1, 8] when `integral`), reshaped per `shape`
+/// at row m / 2.
+sparse::Csr<double> singleton_rows(index_t n, const std::vector<index_t>& cols,
+                                   bool integral, RowShape shape,
+                                   std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const auto m = static_cast<index_t>(cols.size());
+  const auto draw = [&] {
+    return integral ? static_cast<double>(rng.between(1, 8))
+                    : rng.uniform(0.5, 8.0);
+  };
+  sparse::Coo<double> coo(m, n);
+  for (index_t e = 0; e < m; ++e) {
+    const index_t c = cols[static_cast<std::size_t>(e)];
+    if (e == m / 2 && shape == RowShape::kOneEmptyRow) continue;
+    coo.push(e, c, draw());
+    if (e == m / 2 && shape == RowShape::kOneDoubleRow) {
+      coo.push(e, (c + 1) % n, draw());
+    }
+  }
+  return sparse::Csr<double>::from_coo(std::move(coo),
+                                       sparse::DupPolicy::kKeepFirst);
+}
+
+/// Incidence-shaped AᵀB: kAuto folds one ⊗-term per row in increasing row
+/// order, which must be bitwise equal to forced kGustavson on every pair
+/// and value kind, and equal to kHeap wherever ⊕ is exactly associative
+/// (`exact_add`, or integer values). Near-incidence operands must give
+/// exactly the engine's kAuto bytes. Every pool size gives the same bytes.
+template <typename P>
+void incidence_case(const P& p, bool exact_add, index_t n_src, index_t n_dst,
+                    index_t m, index_t endpoint_range, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<index_t> src(static_cast<std::size_t>(m));
+  std::vector<index_t> dst(static_cast<std::size_t>(m));
+  for (index_t e = 0; e < m; ++e) {
+    // endpoint_range < n squeezes the edges onto few vertices: heavy
+    // parallel edges; a 0 range draws self-loops only.
+    if (endpoint_range == 0) {
+      src[static_cast<std::size_t>(e)] = dst[static_cast<std::size_t>(e)] =
+          rng.between(0, std::min(n_src, n_dst) - 1);
+      continue;
+    }
+    src[static_cast<std::size_t>(e)] =
+        rng.between(0, std::min(n_src, endpoint_range) - 1);
+    dst[static_cast<std::size_t>(e)] =
+        rng.between(0, std::min(n_dst, endpoint_range) - 1);
+  }
+  util::ThreadPool* const pools[] = {nullptr, g_pool1, g_pool4};
+  for (const bool integral : {false, true}) {
+    for (const auto shape : {RowShape::kIncidence, RowShape::kOneEmptyRow,
+                             RowShape::kOneDoubleRow}) {
+      if (m == 0 && shape != RowShape::kIncidence) continue;
+      // The empty row perturbs A, the doubled row B: each operand's
+      // shape check must route to the engine on its own.
+      const auto a = singleton_rows(
+          n_src, src, integral,
+          shape == RowShape::kOneEmptyRow ? shape : RowShape::kIncidence,
+          seed + 1);
+      const auto b = singleton_rows(
+          n_dst, dst, integral,
+          shape == RowShape::kOneDoubleRow ? shape : RowShape::kIncidence,
+          seed + 2);
+      const auto gustavson =
+          sparse::spgemm_at_b(p, a, b, sparse::SpGemmAlgo::kGustavson);
+      const auto heap =
+          sparse::spgemm_at_b(p, a, b, sparse::SpGemmAlgo::kHeap);
+      const auto engine_auto = sparse::spgemm_at_b(
+          p, sparse::CscView<double>(a), b, sparse::SpGemmAlgo::kAuto);
+      for (util::ThreadPool* pool : pools) {
+        const auto c =
+            sparse::spgemm_at_b(p, a, b, sparse::SpGemmAlgo::kAuto, pool);
+        if (shape == RowShape::kIncidence) {
+          CHECK(exact_eq(c, gustavson));
+          if (exact_add || integral) CHECK(exact_eq(c, heap));
+        } else {
+          CHECK(exact_eq(c, engine_auto));
+        }
+      }
+    }
+  }
+}
+
+template <typename P>
+void run_incidence(const P& p, bool exact_add, std::uint64_t seed) {
+  const index_t wide = (index_t{1} << 15) + 1;
+  incidence_case(p, exact_add, 0, 0, 0, 1, seed);          // no vertices
+  incidence_case(p, exact_add, 7, 7, 0, 7, seed + 1);      // empty edge list
+  incidence_case(p, exact_add, 1, 1, 5, 1, seed + 2);      // one vertex
+  incidence_case(p, exact_add, 40, 40, 300, 0, seed + 3);  // self-loops only
+  incidence_case(p, exact_add, 50, 50, 2000, 3, seed + 4); // heavy parallel
+  incidence_case(p, exact_add, 64, 64, 900, 64, seed + 5); // mixed
+  incidence_case(p, exact_add, 8, 8, 5000, 8, seed + 6);   // m >> n
+  incidence_case(p, exact_add, index_t{1} << 15, index_t{1} << 15, 3000,
+                 index_t{1} << 15, seed + 7);              // n = 2^15
+  incidence_case(p, exact_add, wide, wide, 4000, wide, seed + 8);  // n > 2^15
+  incidence_case(p, exact_add, 200000, 200000, 40, 200000,
+                 seed + 9);                                // m << n
+  incidence_case(p, exact_add, wide, wide, 3000, 5, seed + 10);  // wide, parallel
+  incidence_case(p, exact_add, 30, 70000, 2500, 70000, seed + 11);  // bipartite
+}
+
+/// kAuto packs (row, col, slot) into one 64-bit sort key only when the
+/// shape says it fits in 63 bits. An output 2^60 (fits: 60 column + 3
+/// slot bits) and 2^60 + 1 (does not) columns wide, over one source
+/// vertex and 8 edges, must match the heap merge exactly either way
+/// (forced kGustavson would allocate a 2^60-wide accumulator).
+void key_width_case() {
+  const algebra::MinPlus<double> p;
+  for (const index_t ncols : {index_t{1} << 60, (index_t{1} << 60) + 1}) {
+    const std::vector<index_t> src(8, 0);
+    const std::vector<index_t> dst = {ncols - 1, 0, ncols - 1, 5,
+                                      ncols - 2, 0, 7,         ncols - 1};
+    const auto a = singleton_rows(1, src, false, RowShape::kIncidence, 1);
+    const auto b = singleton_rows(ncols, dst, false, RowShape::kIncidence, 2);
+    const auto heap = sparse::spgemm_at_b(p, a, b, sparse::SpGemmAlgo::kHeap);
+    CHECK_EQ(heap.nnz(), 5);
+    CHECK(exact_eq(sparse::spgemm_at_b(p, a, b, sparse::SpGemmAlgo::kAuto),
+                   heap));
+    CHECK(exact_eq(
+        sparse::spgemm_at_b(p, a, b, sparse::SpGemmAlgo::kAuto, g_pool4),
+        heap));
+  }
+}
+
 template <typename P>
 void run_pair(const P& p, std::uint64_t seed) {
   differential_case(p, 1, 1, 1, 1, 1, seed);            // 1×1
@@ -101,6 +238,10 @@ void run_pair(const P& p, std::uint64_t seed) {
   // overshoots its nnz by more than 1/8, so even the serial run stitches
   // its slab instead of moving it out.
   differential_case(p, 64, 64, 256, 512, 2048, seed + 12);
+  // ⊕ = max/min is exactly associative and commutative on any doubles;
+  // + is not, so +.× meets kHeap only on integer values.
+  run_incidence(p, !std::is_same_v<P, algebra::PlusTimes<double>>,
+                seed + 50);
 }
 
 }  // namespace
@@ -118,6 +259,7 @@ int main() {
   run_pair(algebra::MinPlus<double>{}, 500);
   run_pair(algebra::MaxMin<double>{}, 600);
   run_pair(algebra::MinMax<double>{}, 700);
+  key_width_case();
 
   return TEST_MAIN_RESULT();
 }

@@ -2,7 +2,8 @@
 /// \brief Streaming differential suite: AdjacencyBuilder's maintained
 ///        array must be *byte-identical* to the oracle — concatenate all
 ///        batches and rebuild from scratch with `build_adjacency` /
-///        `adjacency_array` — across batch sizes {1, 7, 1024}, pool
+///        `adjacency_array`, and with the forced-kGustavson engine that
+///        kAuto's per-edge fold must match — across batch sizes {1, 7, 1024}, pool
 ///        sizes {serial, 1, 4, 8}, and the min.+ / +.* / max.min
 ///        algebras, plus builder-specific edge cases (empty batches,
 ///        endpoint validation, ladder shape, prefix snapshots).
@@ -59,13 +60,34 @@ graph::Graph stream_graph(index_t n, index_t m, std::uint64_t seed) {
   return g;
 }
 
+/// The from-scratch rebuild of a stream's edges, twice: through the
+/// entry point the builder stages with (kAuto, which folds incidence
+/// products per edge) and through the forced-kGustavson engine, so the
+/// builder is never checked only against the code it runs itself.
+template <typename T>
+struct Oracles {
+  sparse::Csr<T> rebuild;
+  sparse::Csr<T> engine;
+};
+
+template <typename P>
+Oracles<typename P::value_type> stream_oracles(const P& p,
+                                               stream::Weighting weighting,
+                                               const graph::Graph& g) {
+  const auto inc = weighting == stream::Weighting::kWeighted
+                       ? graph::weighted_incidence_arrays(g, p)
+                       : graph::incidence_arrays(g, p);
+  return {graph::adjacency_array(p, inc),
+          graph::adjacency_array(p, inc, sparse::SpGemmAlgo::kGustavson)};
+}
+
 /// Feed `g`'s edge list to a builder in `batch_size` slices and check the
-/// final snapshot byte-equals the from-scratch oracle.
+/// final snapshot byte-equals both oracles.
 template <typename P>
 void run_differential(const P& p, stream::Weighting weighting,
                       const graph::Graph& g, index_t batch_size,
                       util::ThreadPool* pool,
-                      const sparse::Csr<typename P::value_type>& oracle) {
+                      const Oracles<typename P::value_type>& oracles) {
   stream::AdjacencyBuilder<P> builder(g.num_vertices(), p,
                                       ladder_opts(weighting, pool));
   const auto& edges = g.edges();
@@ -76,7 +98,9 @@ void run_differential(const P& p, stream::Weighting weighting,
     builder.ingest(std::span<const graph::Edge>(edges.data() + lo, hi - lo));
   }
   CHECK_EQ(builder.stats().edges, edges.size());
-  CHECK(csr_bitwise_equal(builder.adjacency(), oracle));
+  const auto snap = builder.adjacency();
+  CHECK(csr_bitwise_equal(snap, oracles.rebuild));
+  CHECK(csr_bitwise_equal(snap, oracles.engine));
   // The ladder never holds more than log2(batches) + 1 live runs.
   const auto batches = static_cast<double>(builder.stats().batches);
   CHECK(builder.num_levels() <=
@@ -89,15 +113,18 @@ void test_streaming_differential() {
   const auto g = stream_graph(n, m, 2026);
 
   // Serial oracles, built once per algebra with the batch path's exact
-  // construction entry points.
+  // construction entry points and with the forced-kGustavson engine.
   const algebra::PlusTimes<double> plus_times;
   const algebra::MinPlus<double> min_plus;
   const algebra::MaxMin<double> max_min;
-  const auto oracle_pt = graph::build_adjacency(g, plus_times);
-  const auto oracle_mp = graph::adjacency_array(
-      min_plus, graph::weighted_incidence_arrays(g, min_plus));
-  const auto oracle_mm = graph::adjacency_array(
-      max_min, graph::weighted_incidence_arrays(g, max_min));
+  const auto oracle_pt =
+      stream_oracles(plus_times, stream::Weighting::kUnweighted, g);
+  const auto oracle_mp =
+      stream_oracles(min_plus, stream::Weighting::kWeighted, g);
+  const auto oracle_mm =
+      stream_oracles(max_min, stream::Weighting::kWeighted, g);
+  CHECK(csr_bitwise_equal(oracle_pt.rebuild,
+                          graph::build_adjacency(g, plus_times)));
 
   const index_t batch_sizes[] = {1, 7, 1024};
   std::vector<std::unique_ptr<util::ThreadPool>> pools;
