@@ -129,8 +129,10 @@ IncidencePair<typename P::value_type> weighted_incidence_arrays(
 /// Prebuilt CSC views over both incidence arrays: the fused AᵀB engine
 /// consumes the A operand column-wise, so callers constructing several
 /// adjacency products from one incidence pair (forward + reverse, or an
-/// operator-pair sweep) build the views once and amortize them. Borrows
-/// `inc` — the pair must outlive the views.
+/// operator-pair sweep) build the views once and amortize them. The
+/// view overloads always run the engine; kAuto on the pair itself runs
+/// the per-edge fold and needs no view. Borrows `inc` — the pair must
+/// outlive the views.
 template <typename T>
 struct IncidenceViews {
   sparse::CscView<T> eout_t;  ///< Eᵀout, the forward-product A operand

@@ -1,6 +1,6 @@
 /// \file test_adjacency.cpp
 /// \brief is_adjacency_of on hand-built graphs with self-loops and
-///        parallel edges, the incidence→adjacency construction, and the
+///        parallel edges, the incidence→adjacency construction, the
 ///        reverse-graph corollary, and the rejection of out-of-range
 ///        edge endpoints.
 

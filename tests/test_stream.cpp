@@ -3,10 +3,11 @@
 ///        array must be *byte-identical* to the oracle — concatenate all
 ///        batches and rebuild from scratch with `build_adjacency` /
 ///        `adjacency_array`, and with the forced-kGustavson engine that
-///        kAuto's per-edge fold must match — across batch sizes {1, 7, 1024}, pool
-///        sizes {serial, 1, 4, 8}, and the min.+ / +.* / max.min
-///        algebras, plus builder-specific edge cases (empty batches,
-///        endpoint validation, ladder shape, prefix snapshots).
+///        kAuto's per-edge fold must match — across batch sizes
+///        {1, 7, 1024}, pool sizes {serial, 1, 4, 8}, and the min.+ /
+///        +.* / max.min algebras, plus builder-specific edge cases
+///        (empty batches, endpoint validation, ladder shape, prefix
+///        snapshots).
 ///
 /// Weighted workloads draw integer weights so the +.* fold stays exact
 /// in FP — any fold-order divergence shows up as a byte diff instead of
