@@ -46,9 +46,25 @@
 /// waits out that shard's in-flight task and, if still over, settles its
 /// ladder on the writer's thread.
 ///
+/// **Memory.** In background mode a run hands its arrays' pages back to
+/// the OS when its last reference drops (`detail::release_pages`, then
+/// the free). Merges run on pool workers, and the order in which runs
+/// are freed follows the race between the writer, the workers and the
+/// readers' pins. A C heap keeps freed pages resident and reuses them
+/// only where a new array fits. So without the release, whether a large
+/// merge output lands in freed memory or grows the heap depends on
+/// timing, and so does the resident set. Inline mode keeps plain runs:
+/// its merges run inside the ingest, so a released page that faults
+/// back in would be paid in the acknowledgement.
+///
 /// Canonical-DCSR postconditions (`I2A_ENSURES`) hold for every run the
 /// ladder exposes — per-batch delta, inline merge, background merge or
 /// recovered checkpoint run.
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -158,6 +174,45 @@ inline std::size_t shard_index(index_t v, std::size_t shards) {
 
 namespace detail {
 
+/// Return the whole pages inside [p, p + bytes) to the OS before the
+/// buffer is freed (`madvise(MADV_DONTNEED)`): they stop counting as
+/// resident and fault back in as zero pages if the allocator reuses
+/// them. The partial pages at either end, where the allocator keeps its
+/// chunk headers and neighbouring objects may live, are left alone. A
+/// no-op off Linux.
+inline void release_pages(const void* p, std::size_t bytes) noexcept {
+#if defined(__linux__)
+  static const auto page =
+      static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t lo = (begin + page - 1) & ~(page - 1);
+  const std::uintptr_t hi = (begin + bytes) & ~(page - 1);
+  if (hi > lo) {
+    // Advisory: on failure the pages merely stay resident until freed.
+    (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+  }
+#else
+  (void)p;
+  (void)bytes;
+#endif
+}
+
+/// Deleter of a background-mode run: releases the pages of its four
+/// arrays, then frees them (file comment, "Memory").
+struct ReleasingDelete {
+  template <typename M>
+  void operator()(const M* m) const noexcept {
+    const auto release = [](const auto& v) {
+      release_pages(v.data(), v.capacity() * sizeof(v[0]));
+    };
+    release(m->row_ids());
+    release(m->row_ptr());
+    release(m->cols());
+    release(m->vals());
+    delete m;
+  }
+};
+
 /// One builder's shared state. Heap-held and refcounted: the builder
 /// owns it (so the builder stays movable) and every background task
 /// holds it, so a task may outlive the builder. The configuration is
@@ -225,6 +280,15 @@ struct State : std::enable_shared_from_this<State<P>> {
   /// the shards and `batches` is the epoch, at `stats()` time.
   BuilderStats stats I2A_GUARDED_BY(mu);
 
+  /// Share `m` as an immutable run. In background mode the run releases
+  /// its pages when its last reference drops (file comment, "Memory").
+  RunPtr share(RunMatrix&& m) const {
+    if (compaction != Compaction::kBackground) {
+      return std::make_shared<const RunMatrix>(std::move(m));
+    }
+    return RunPtr(new RunMatrix(std::move(m)), ReleasingDelete{});
+  }
+
   /// Block until no compaction (on any shard) or checkpoint is in flight.
   void settle_locked() I2A_REQUIRES(mu) {
     for (;;) {
@@ -278,7 +342,7 @@ struct State : std::enable_shared_from_this<State<P>> {
         p, inc, sparse::SpGemmAlgo::kAuto, pool));
     I2A_ENSURES(delta.is_canonical(), "stream: staged delta not canonical");
     prep.delta_nnz = static_cast<std::uint64_t>(delta.nnz());
-    prep.delta = std::make_shared<const RunMatrix>(std::move(delta));
+    prep.delta = share(std::move(delta));
     return prep;
   }
 
@@ -537,7 +601,7 @@ struct State : std::enable_shared_from_this<State<P>> {
         merge_pool);
     I2A_ENSURES(merged.is_canonical(),
                 "stream: compaction produced non-canonical run");
-    return Run{std::make_shared<const RunMatrix>(std::move(merged)), weight};
+    return Run{share(std::move(merged)), weight};
   }
 
   /// Under the lock: if shard `s` has no merge in flight and a suffix

@@ -139,8 +139,7 @@ class ShardedBuilder {
       for (std::size_t s = 0; s < num_shards; ++s) {
         for (auto& loaded : ckpt->shards[s]) {
           runs[s].push_back(
-              {std::make_shared<const typename State::RunMatrix>(
-                   State::RunMatrix::compress(*loaded.csr)),
+              {b.st_->share(State::RunMatrix::compress(*loaded.csr)),
                loaded.weight});
           loaded.csr.reset();
         }

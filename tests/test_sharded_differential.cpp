@@ -12,6 +12,10 @@
 /// Integer-valued weights keep all folds exact in FP (repo convention),
 /// so "byte-identical" is a meaningful bar, not a tolerance in disguise.
 
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -24,6 +28,7 @@
 #include "graph/generators.hpp"
 #include "graph/incidence.hpp"
 #include "stream/adjacency_builder.hpp"
+#include "stream/shard.hpp"
 #include "stream/sharded_builder.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
@@ -280,6 +285,78 @@ void test_owner_routed_fold_row() {
                             stream::Weighting::kWeighted, &pool);
 }
 
+/// `release_pages` drops exactly the whole pages inside its range: the
+/// partial pages at both ends keep their bytes (on Linux the pages
+/// inside read back as zero).
+void test_release_pages_bounds() {
+  constexpr std::size_t kPage = 4096;
+  std::vector<std::uint64_t> buf(8 * kPage / sizeof(std::uint64_t), 0);
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = 0x5a5a0000ULL + i;
+  auto* const bytes = reinterpret_cast<unsigned char*>(buf.data());
+  // The range starts 24 bytes into the buffer and ends 100 bytes past
+  // a multiple of 4 KiB, so its end pages are partial and hold bytes
+  // inside and outside it.
+  const std::size_t first = 24;
+  const std::size_t len = 5 * kPage + 100;
+  stream::detail::release_pages(bytes + first, len);
+#if defined(__linux__)
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(bytes + first);
+  const std::uintptr_t lo = (begin + page - 1) & ~(page - 1);
+  const std::uintptr_t hi = (begin + len) & ~(page - 1);
+#else
+  const std::uintptr_t lo = 0;  // release_pages is a no-op
+  const std::uintptr_t hi = 0;
+#endif
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    const auto at = reinterpret_cast<std::uintptr_t>(&buf[i]);
+    if (at >= lo && at < hi) {
+      CHECK_EQ(buf[i], std::uint64_t{0});
+    } else {
+      CHECK_EQ(buf[i], 0x5a5a0000ULL + i);
+    }
+  }
+}
+
+/// Background-mode runs release their pages when their last reference
+/// drops, never before: pins taken after every batch keep runs that
+/// later merges replace, and each must still materialize to its
+/// prefix's rebuild once the builder has drained. Runs here span many
+/// pages (up to ~40k entries), so the release really runs.
+void test_background_runs_release_pages() {
+  const index_t n = 4096;
+  const auto g = int_weighted(graph::gen::random_multigraph(n, 40000, 61), 62);
+  const algebra::MinPlus<double> p;
+  util::ThreadPool pool(4);
+  stream::Options opts;
+  opts.weighting = stream::Weighting::kWeighted;
+  opts.pool = &pool;
+  opts.compaction = stream::Compaction::kBackground;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    stream::ShardedBuilder<algebra::MinPlus<double>> b(n, shards, p, opts);
+    const auto& edges = g.edges();
+    std::vector<stream::PinnedSnapshot<algebra::MinPlus<double>>> pins;
+    std::vector<std::size_t> ends;
+    for (std::size_t lo = 0; lo < edges.size(); lo += 2500) {
+      const std::size_t hi = std::min(edges.size(), lo + 2500);
+      b.ingest(std::span<const graph::Edge>(edges.data() + lo, hi - lo));
+      pins.push_back(b.snapshot());
+      ends.push_back(hi);
+    }
+    b.drain();
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      graph::Graph prefix(n);
+      prefix.edges().assign(edges.begin(),
+                            edges.begin() +
+                                static_cast<std::ptrdiff_t>(ends[i]));
+      CHECK(csr_bitwise_equal(pins[i].materialize(),
+                              rebuild(p, opts.weighting, prefix)));
+    }
+    pins.clear();  // the last references to the replaced runs
+    CHECK(csr_bitwise_equal(b.adjacency(), rebuild(p, opts.weighting, g)));
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -288,5 +365,7 @@ int main() {
   test_power_law_keys();
   test_sharded_empty_batches_and_validation();
   test_owner_routed_fold_row();
+  test_release_pages_bounds();
+  test_background_runs_release_pages();
   return TEST_MAIN_RESULT();
 }
