@@ -46,9 +46,9 @@
 /// waits out that shard's in-flight task and, if still over, settles its
 /// ladder on the writer's thread.
 ///
-/// **Memory.** In background mode a run hands its arrays' pages back to
-/// the OS when its last reference drops (`detail::release_pages`, then
-/// the free). Merges run on pool workers, and the order in which runs
+/// **Memory.** In background mode a run hands the pages of its large
+/// arrays back to the OS when its last reference drops
+/// (`detail::ReleasingDelete`, then the free). Merges run on pool workers, and the order in which runs
 /// are freed follows the race between the writer, the workers and the
 /// readers' pins. A C heap keeps freed pages resident and reuses them
 /// only where a new array fits. So without the release, whether a large
@@ -197,13 +197,21 @@ inline void release_pages(const void* p, std::size_t bytes) noexcept {
 #endif
 }
 
-/// Deleter of a background-mode run: releases the pages of its four
-/// arrays, then frees them (file comment, "Memory").
+/// Deleter of a background-mode run: releases the pages of each of its
+/// four arrays that spans at least `kMinBytes`, then frees them (file
+/// comment, "Memory"). The floor is glibc's default mmap threshold:
+/// arrays that large would get their own mapping, returned on free, if
+/// the threshold had not adapted upwards. Smaller ones are reused from
+/// the heap soon enough that releasing them would mostly add page
+/// faults to the next merges.
 struct ReleasingDelete {
+  static constexpr std::size_t kMinBytes = std::size_t{128} << 10;
+
   template <typename M>
   void operator()(const M* m) const noexcept {
     const auto release = [](const auto& v) {
-      release_pages(v.data(), v.capacity() * sizeof(v[0]));
+      const std::size_t bytes = v.capacity() * sizeof(v[0]);
+      if (bytes >= kMinBytes) release_pages(v.data(), bytes);
     };
     release(m->row_ids());
     release(m->row_ptr());

@@ -321,8 +321,9 @@ void test_release_pages_bounds() {
 /// Background-mode runs release their pages when their last reference
 /// drops, never before: pins taken after every batch keep runs that
 /// later merges replace, and each must still materialize to its
-/// prefix's rebuild once the builder has drained. Runs here span many
-/// pages (up to ~40k entries), so the release really runs.
+/// prefix's rebuild once the builder has drained. The largest runs
+/// here hold ~40k entries, so their column and value arrays pass the
+/// release floor (`ReleasingDelete::kMinBytes`) and the release runs.
 void test_background_runs_release_pages() {
   const index_t n = 4096;
   const auto g = int_weighted(graph::gen::random_multigraph(n, 40000, 61), 62);
