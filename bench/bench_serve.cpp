@@ -7,8 +7,8 @@
 ///      count (1 = the degenerate single-builder fuse). Shards share
 ///      nothing on the hot path, so on multi-core hardware the staging +
 ///      compaction work spreads; on a single hardware thread the curve
-///      is expected roughly flat (the CI/container runner is 1-core —
-///      read the committed numbers with that in mind, DESIGN.md §9).
+///      is expected roughly flat (DESIGN.md §9). The file's context
+///      records `hardware_threads`; read the numbers with it in mind.
 ///
 ///   2. `BM_ServeMixed` — the serving mix: this thread streams every
 ///      batch while two query threads continuously pin snapshots and run
@@ -26,6 +26,10 @@
 ///      merge stalls the writer — backpressure continuously active).
 ///      backpressure_events counts how often the bound bit; compare
 ///      items/s and q_p99_ms against BM_ServeMixed to read the price.
+///
+/// All three run work on pool workers and reader threads, which the
+/// main thread's CPU clock does not see, so they time wall clock
+/// (`UseRealTime`): items/s is edges per wall second.
 
 #include "bench_common.hpp"
 
@@ -106,6 +110,7 @@ void BM_ServeIngestThroughput(benchmark::State& state) {
   state.counters["shards"] = static_cast<double>(shards);
 }
 BENCHMARK(BM_ServeIngestThroughput)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Writer streams all batches while kQueryThreads readers pin + BFS
@@ -157,7 +162,11 @@ void BM_ServeMixed(benchmark::State& state) {
   state.counters["q_p99_ms"] = percentile_ms(latencies_ms, 0.99);
   state.counters["shards"] = static_cast<double>(shards);
 }
-BENCHMARK(BM_ServeMixed)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeMixed)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// BM_ServeMixed under backpressure: background compaction with the
 /// merge debt bounded, so the writer stalls (and settles inline when the
@@ -222,6 +231,7 @@ BENCHMARK(BM_ServeDegraded)
     ->Args({4, 1})
     ->Args({1, 0})
     ->Args({4, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

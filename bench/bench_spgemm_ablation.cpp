@@ -116,24 +116,18 @@ void BM_SpGemm_DenseBaseline(benchmark::State& state) {
 BENCHMARK(BM_SpGemm_DenseBaseline)->Arg(128)->Arg(256)->Arg(512);
 
 // The paper's product shape: tall incidence arrays, Eᵀ E (few columns).
-// Two variants: the fused engine, and the fused engine over a prebuilt
-// CSC view (the repeated-product form). Items are edges, so items/s is
-// edges/s; both share one workload builder so they measure the same
-// problem, and both report allocs_per_row. `make_product(eout, ein)`
-// runs once outside the timed loop, so per-instance state (the prebuilt
-// view) lands there.
-template <typename MakeProduct>
-void incidence_point(benchmark::State& state, MakeProduct&& make_product) {
+// Items are edges, so items/s is edges/s.
+void BM_SpGemm_IncidenceShape(benchmark::State& state) {
   const index_t edges = state.range(0);
   const index_t vertices = edges / 8;
   const auto density = 1.0 / static_cast<double>(vertices);
   const auto eout = bench::random_matrix(edges, vertices, density, 3);
   const auto ein = bench::random_matrix(edges, vertices, density, 4);
-  auto product = make_product(eout, ein);
+  const algebra::PlusTimes<double> p;
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const auto before = bench::alloc_count();
-    auto c = product();
+    auto c = sparse::spgemm_at_b(p, eout, ein, SpGemmAlgo::kAuto);
     benchmark::DoNotOptimize(c);
     allocs += bench::alloc_count() - before;
   }
@@ -142,28 +136,7 @@ void incidence_point(benchmark::State& state, MakeProduct&& make_product) {
       static_cast<double>(allocs) / (static_cast<double>(state.iterations()) *
                                      static_cast<double>(vertices));
 }
-
-void BM_SpGemm_IncidenceShape(benchmark::State& state) {
-  const algebra::PlusTimes<double> p;
-  incidence_point(state, [&](const auto& eout, const auto& ein) {
-    return [&p, &eout, &ein] {
-      return sparse::spgemm_at_b(p, eout, ein, sparse::SpGemmAlgo::kAuto);
-    };
-  });
-}
-void BM_SpGemm_IncidenceShapePrebuilt(benchmark::State& state) {
-  const algebra::PlusTimes<double> p;
-  incidence_point(state, [&](const auto& eout, const auto& ein) {
-    return [&p, &ein, view = sparse::CscView<double>(eout)] {
-      return sparse::spgemm_at_b(p, view, ein, sparse::SpGemmAlgo::kAuto);
-    };
-  });
-}
-
 BENCHMARK(BM_SpGemm_IncidenceShape)->RangeMultiplier(4)->Range(1024, 65536);
-BENCHMARK(BM_SpGemm_IncidenceShapePrebuilt)
-    ->RangeMultiplier(4)
-    ->Range(1024, 65536);
 
 }  // namespace
 

@@ -18,8 +18,11 @@
 /// the old `Coo` + `from_coo` path paid is pure waste on this structure.
 /// The bytes produced are identical to the old path's (and pool-size
 /// independent: edge e always lands at slot e).
+///
+/// Both products take the incidence pair itself and call
+/// `sparse::spgemm_at_b`, whose kAuto folds row-singleton operands per
+/// edge with no transpose (sparse/spgemm.hpp).
 
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -126,27 +129,11 @@ IncidencePair<typename P::value_type> weighted_incidence_arrays(
       pool);
 }
 
-/// Prebuilt CSC views over both incidence arrays: the fused AᵀB engine
-/// consumes the A operand column-wise, so callers constructing several
-/// adjacency products from one incidence pair (forward + reverse, or an
-/// operator-pair sweep) build the views once and amortize them. The
-/// view overloads always run the engine; kAuto on the pair itself runs
-/// the per-edge fold and needs no view. Borrows `inc` — the pair must
-/// outlive the views.
-template <typename T>
-struct IncidenceViews {
-  sparse::CscView<T> eout_t;  ///< Eᵀout, the forward-product A operand
-  sparse::CscView<T> ein_t;   ///< Eᵀin, the reverse-product A operand
-  explicit IncidenceViews(const IncidencePair<T>& inc,
-                          util::ThreadPool* pool = nullptr)
-      : eout_t(inc.eout, pool), ein_t(inc.ein, pool) {}
-};
-
 /// The paper's construction: A = Eᵀout ⊕.⊗ Ein. With kAuto both
 /// operands are row singletons, so the product is the per-edge fold:
 /// A(i,j) is the ⊕-fold, in edge order, of Eout(e,i) ⊗ Ein(e,j) over the
-/// edges i→j, with no transpose view (sparse/spgemm.hpp). A forced
-/// kernel runs the fused CSC-view engine.
+/// edges i→j, with no transpose (sparse/spgemm.hpp). A forced kernel
+/// runs the engine on the transposed Eout.
 template <typename P>
   requires algebra::Semiring<P>
 sparse::Csr<typename P::value_type> adjacency_array(
@@ -154,19 +141,6 @@ sparse::Csr<typename P::value_type> adjacency_array(
     sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto,
     util::ThreadPool* pool = nullptr) {
   return sparse::spgemm_at_b(p, inc.eout, inc.ein, algo, pool);
-}
-
-/// Repeated-product form of `adjacency_array` over prebuilt views.
-/// `views` must have been built from this `inc`.
-template <typename P>
-  requires algebra::Semiring<P>
-sparse::Csr<typename P::value_type> adjacency_array(
-    const P& p, const IncidenceViews<typename P::value_type>& views,
-    const IncidencePair<typename P::value_type>& inc,
-    sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto,
-    util::ThreadPool* pool = nullptr) {
-  assert(&views.eout_t.base() == &inc.eout);
-  return sparse::spgemm_at_b(p, views.eout_t, inc.ein, algo, pool);
 }
 
 /// Corollary III.1: the adjacency array of the reverse graph is
@@ -178,19 +152,6 @@ sparse::Csr<typename P::value_type> reverse_adjacency_array(
     sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto,
     util::ThreadPool* pool = nullptr) {
   return sparse::spgemm_at_b(p, inc.ein, inc.eout, algo, pool);
-}
-
-/// Repeated-product form of `reverse_adjacency_array` over prebuilt
-/// views. `views` must have been built from this `inc`.
-template <typename P>
-  requires algebra::Semiring<P>
-sparse::Csr<typename P::value_type> reverse_adjacency_array(
-    const P& p, const IncidenceViews<typename P::value_type>& views,
-    const IncidencePair<typename P::value_type>& inc,
-    sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto,
-    util::ThreadPool* pool = nullptr) {
-  assert(&views.ein_t.base() == &inc.ein);
-  return sparse::spgemm_at_b(p, views.ein_t, inc.eout, algo, pool);
 }
 
 /// End-to-end convenience: graph → incidence arrays → adjacency array.

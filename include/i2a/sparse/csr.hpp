@@ -3,7 +3,7 @@
 /// \brief Compressed sparse row matrix, the workhorse storage for
 ///        incidence and adjacency arrays, plus sort-free COO→CSR assembly
 ///        with explicit duplicate policies and a parallel counting-sort
-///        `transpose` / `CscView`.
+///        `transpose`.
 ///
 /// Assembly engine (PR 3). `from_coo` no longer comparison-sorts the
 /// entry list. It is a two-pass engine, the shape sparse/merge.hpp shares:
@@ -30,7 +30,7 @@
 /// Everything is O(nnz + nrows) — no O(nnz log nnz) comparison sort
 /// anywhere — and a duplicate-free input returns the staging arrays
 /// without a final compaction copy. The old stable-sort path survives as
-/// `from_coo_reference` for differential tests and in-bench baselines.
+/// the differential tests' oracle (tests/csr_reference.hpp).
 
 #include <algorithm>
 #include <cassert>
@@ -100,8 +100,8 @@ inline void stitch_bucket_cursors(std::vector<std::vector<index_t>>& hist,
 /// Fold one column-sorted (col, val) run into a compact (cols, vals)
 /// prefix per `policy`; returns the deduplicated length. The input is in
 /// push order within each equal-column group, so the fold's left-to-right
-/// accumulation reproduces `from_coo_reference` exactly (bitwise, even
-/// for FP kSum).
+/// accumulation reproduces a serial stable sort + fold exactly (bitwise,
+/// even for FP kSum).
 template <typename T>
 index_t fold_sorted_run(const std::vector<std::pair<index_t, T>>& run,
                         DupPolicy policy, index_t* cols, T* vals) {
@@ -287,54 +287,6 @@ class Csr {
     return out;
   }
 
-  /// The pre-PR-3 serial stable-sort assembly, kept verbatim as the
-  /// differential-test oracle and the in-bench legacy baseline
-  /// (`BM_ConstructLegacy_*`). Semantically identical to `from_coo` —
-  /// including bitwise-identical FP kSum folds, since both visit a
-  /// (row, col) group's duplicates in push order.
-  static Csr from_coo_reference(Coo<T> coo,
-                                DupPolicy policy = DupPolicy::kSum) {
-    auto& e = coo.entries();
-    // Stable sort keeps push order within a (row, col) group, which is
-    // what gives kKeepFirst / kKeepLast their meaning.
-    std::stable_sort(e.begin(), e.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.row != b.row ? a.row < b.row : a.col < b.col;
-                     });
-    std::vector<index_t> row_ptr(static_cast<std::size_t>(coo.nrows()) + 1, 0);
-    std::vector<index_t> cols;
-    std::vector<T> vals;
-    cols.reserve(e.size());
-    vals.reserve(e.size());
-    for (std::size_t i = 0; i < e.size();) {
-      const index_t r = e[i].row;
-      const index_t c = e[i].col;
-      assert(r >= 0 && r < coo.nrows() && c >= 0 && c < coo.ncols());
-      T acc = e[i].val;
-      std::size_t j = i + 1;
-      for (; j < e.size() && e[j].row == r && e[j].col == c; ++j) {
-        switch (policy) {
-          case DupPolicy::kSum: acc = acc + e[j].val; break;
-          case DupPolicy::kKeepFirst: break;
-          case DupPolicy::kKeepLast: acc = e[j].val; break;
-          case DupPolicy::kMax: acc = std::max(acc, e[j].val); break;
-          case DupPolicy::kMin: acc = std::min(acc, e[j].val); break;
-        }
-      }
-      cols.push_back(c);
-      vals.push_back(acc);
-      ++row_ptr[static_cast<std::size_t>(r) + 1];
-      i = j;
-    }
-    for (std::size_t r = 0; r < static_cast<std::size_t>(coo.nrows()); ++r) {
-      row_ptr[r + 1] += row_ptr[r];
-    }
-    Csr out(coo.nrows(), coo.ncols(), std::move(row_ptr), std::move(cols),
-            std::move(vals));
-    I2A_ENSURES(out.is_canonical(), "from_coo_reference: non-canonical CSR");
-    return out;
-  }
-
   /// Validating factory: like the raw constructor but rejects malformed
   /// input with `std::invalid_argument` instead of trusting the caller.
   /// Use at ingestion boundaries; the kernels assume canonical CSR (the
@@ -443,24 +395,22 @@ class Csr {
   std::vector<T> vals_;           // size nnz
 };
 
-namespace detail {
-
-/// Parallel counting sort over a Csr's columns — the shared engine of
-/// `transpose` and the `CscView` constructor, which differ only in what
-/// a slot stores. Per-chunk column histograms, one serial cursor stitch
-/// (the stable-scatter invariant again), then a scatter that calls
-/// `write(slot, r, idx)` for the entry at flat position `idx` of row
-/// `r` landing at output position `slot`. Entries within an output
-/// bucket stay in base-row order and the bytes are pool-size
+/// Transpose via counting sort: O(nnz + nrows + ncols), output rows
+/// sorted. Per-chunk column histograms, one serial cursor stitch (the
+/// stable-scatter invariant again), then a scatter: entries within an
+/// output row stay in base-row order and the bytes are pool-size
 /// independent.
-template <typename T, typename Write>
-void counting_sort_by_col(const Csr<T>& a, util::ThreadPool* pool,
-                          std::vector<index_t>& ptr, const Write& write) {
+template <typename T>
+Csr<T> transpose(const Csr<T>& a, util::ThreadPool* pool = nullptr) {
+  I2A_EXPECTS(a.is_canonical(), "transpose: input CSR not canonical");
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(a.ncols()) + 1, 0);
+  std::vector<index_t> cols(static_cast<std::size_t>(a.nnz()));
+  std::vector<T> vals(static_cast<std::size_t>(a.nnz()));
   const bool parallel = pool != nullptr && pool->size() > 1 && a.nrows() > 0;
   const index_t nchunks =
       parallel ? pool->num_chunks(a.nrows()) : (a.nrows() > 0 ? 1 : 0);
   std::vector<std::vector<index_t>> hist(static_cast<std::size_t>(nchunks));
-  run_chunked(
+  detail::run_chunked(
       pool, parallel, a.nrows(), [&](index_t chunk, index_t lo, index_t hi) {
         auto& h = hist[static_cast<std::size_t>(chunk)];
         h.assign(static_cast<std::size_t>(a.ncols()), 0);
@@ -470,114 +420,25 @@ void counting_sort_by_col(const Csr<T>& a, util::ThreadPool* pool,
           }
         }
       });
-  stitch_bucket_cursors(hist, ptr, a.ncols());
-  run_chunked(
+  detail::stitch_bucket_cursors(hist, row_ptr, a.ncols());
+  detail::run_chunked(
       pool, parallel, a.nrows(), [&](index_t chunk, index_t lo, index_t hi) {
         auto& cur = hist[static_cast<std::size_t>(chunk)];
         for (index_t r = lo; r < hi; ++r) {
           const auto cs = a.row_cols(r);
-          const index_t base = a.row_ptr()[static_cast<std::size_t>(r)];
+          const auto vs = a.row_vals(r);
           for (std::size_t k = 0; k < cs.size(); ++k) {
             const auto slot = static_cast<std::size_t>(
                 cur[static_cast<std::size_t>(cs[k])]++);
-            write(slot, r, base + static_cast<index_t>(k));
+            cols[slot] = r;
+            vals[slot] = vs[k];
           }
         }
-      });
-}
-
-}  // namespace detail
-
-/// Transpose via counting sort: O(nnz + nrows + ncols), output rows
-/// sorted (see `detail::counting_sort_by_col` for the parallel scheme).
-template <typename T>
-Csr<T> transpose(const Csr<T>& a, util::ThreadPool* pool = nullptr) {
-  I2A_EXPECTS(a.is_canonical(), "transpose: input CSR not canonical");
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(a.ncols()) + 1, 0);
-  std::vector<index_t> cols(static_cast<std::size_t>(a.nnz()));
-  std::vector<T> vals(static_cast<std::size_t>(a.nnz()));
-  detail::counting_sort_by_col(
-      a, pool, row_ptr, [&](std::size_t slot, index_t r, index_t idx) {
-        cols[slot] = r;
-        vals[slot] = a.vals()[static_cast<std::size_t>(idx)];
       });
   Csr<T> out(a.ncols(), a.nrows(), std::move(row_ptr), std::move(cols),
              std::move(vals));
   I2A_ENSURES(out.is_canonical(), "transpose: non-canonical CSR");
   return out;
 }
-
-/// Column-major *view* of a Csr: the same counting sort as `transpose`,
-/// but values are never copied — `val_idx_` maps each (col, row) slot
-/// back into the base matrix's `vals()` array. Row `i` of the view is
-/// column `i` of the base matrix with its row indices sorted increasing,
-/// which is exactly the A-operand access pattern the fused AᵀB product
-/// needs. Construction parallelizes with the count/stitch/scatter scheme
-/// when a pool is given (bytes are pool-size independent). The view
-/// borrows the base matrix: it must not outlive it.
-template <typename T>
-class CscView {
- public:
-  explicit CscView(const Csr<T>& base, util::ThreadPool* pool = nullptr)
-      : base_(&base),
-        col_ptr_(static_cast<std::size_t>(base.ncols()) + 1, 0),
-        row_idx_(static_cast<std::size_t>(base.nnz())),
-        val_idx_(static_cast<std::size_t>(base.nnz())) {
-    detail::counting_sort_by_col(
-        base, pool, col_ptr_, [&](std::size_t slot, index_t r, index_t idx) {
-          row_idx_[slot] = r;
-          val_idx_[slot] = idx;
-        });
-  }
-
-  /// Shape of the transposed operand this view represents (Aᵀ).
-  index_t nrows() const { return base_->ncols(); }
-  index_t ncols() const { return base_->nrows(); }
-
-  index_t row_nnz(index_t i) const {
-    return col_ptr_[static_cast<std::size_t>(i) + 1] -
-           col_ptr_[static_cast<std::size_t>(i)];
-  }
-
-  /// Base-matrix row indices stored in column `i` (strictly increasing).
-  std::span<const index_t> row_cols(index_t i) const {
-    const auto b = static_cast<std::size_t>(col_ptr_[static_cast<std::size_t>(i)]);
-    return std::span<const index_t>(row_idx_.data() + b,
-                                    static_cast<std::size_t>(row_nnz(i)));
-  }
-
-  /// Gather the values of view row `i` (base column `i`) into `scratch`
-  /// and return a span over them, parallel to `row_cols(i)` — the bulk
-  /// form the SpGEMM kernels use so the per-entry indirection through
-  /// `val_idx_` happens once per row. (The CSR-rows counterpart returns
-  /// its contiguous values directly without touching `scratch`.)
-  std::span<const T> gather_row_vals(index_t i,
-                                     std::vector<T>& scratch) const {
-    const auto b = static_cast<std::size_t>(col_ptr_[static_cast<std::size_t>(i)]);
-    const auto n = static_cast<std::size_t>(row_nnz(i));
-    const auto& base_vals = base_->vals();
-    scratch.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      scratch[k] = base_vals[static_cast<std::size_t>(val_idx_[b + k])];
-    }
-    return std::span<const T>(scratch.data(), n);
-  }
-
-  /// Value parallel to `row_cols(i)[k]`, read through the base matrix.
-  T row_val(index_t i, std::size_t k) const {
-    return base_->vals()[static_cast<std::size_t>(
-        val_idx_[static_cast<std::size_t>(
-                     col_ptr_[static_cast<std::size_t>(i)]) +
-                 k])];
-  }
-
-  const Csr<T>& base() const { return *base_; }
-
- private:
-  const Csr<T>* base_;
-  std::vector<index_t> col_ptr_;  // size base.ncols() + 1
-  std::vector<index_t> row_idx_;  // size nnz, sorted within each column
-  std::vector<index_t> val_idx_;  // permutation into base.vals()
-};
 
 }  // namespace i2a::sparse

@@ -29,10 +29,11 @@
 /// identity ramp, as every incidence array's is) and kAuto, Aᵀ ⊕.⊗ B
 /// has one ⊗-term per row e, at (col_A(e), col_B(e)). The row-singleton
 /// fold buckets, sorts and ⊕-folds those m terms directly, in
-/// increasing e, with O(m) scratch and no transpose view: bitwise equal
-/// to forced kGustavson on any carrier. Forced kGustavson/kHeap, the
-/// `CscView` overload, `spgemm` and every other operand shape run the
-/// engine, which stays the fold's differential oracle.
+/// increasing e, with O(m) scratch and no transpose: bitwise equal to
+/// forced kGustavson on any carrier. Every other `spgemm_at_b` call
+/// (forced kGustavson/kHeap, keys too wide to pack, any other operand
+/// shape) is `spgemm(p, transpose(a), b)`, and that engine route stays
+/// the fold's differential oracle.
 ///
 /// Scratch (dense accumulator, merge heap, slabs) is chunk-local and
 /// reused across rows: zero per-row heap allocations in steady state.
@@ -48,7 +49,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -69,32 +70,11 @@ enum class SpGemmAlgo {
 
 namespace detail {
 
-/// Uniform A-operand access for the engine: `Csr` rows or a `CscView`
-/// (rows of Aᵀ without materializing the transpose).
-template <typename T>
-struct CsrRowsView {
-  const Csr<T>& m;
-  index_t nrows() const { return m.nrows(); }
-  std::span<const index_t> row_cols(index_t i) const { return m.row_cols(i); }
-  T row_val(index_t i, std::size_t k) const {
-    return m.row_vals(i)[k];
-  }
-  /// Hoist the row's values — one span construction per row instead of
-  /// one per entry in the kernels' hot loops. CSR values are already
-  /// contiguous, so this is a direct span; `scratch` is only for views
-  /// that must materialize (CscView).
-  std::span<const T> gather_row_vals(index_t i,
-                                     std::vector<T>& scratch) const {
-    (void)scratch;
-    return m.row_vals(i);
-  }
-};
-
 /// Intermediate-product count of output row `i`: Σ_k |B(k,:)| over the
 /// stored k of A(i,:). Upper-bounds the row nnz; exact when no column
 /// collides.
-template <typename AV, typename T>
-index_t row_flops(const AV& a, const Csr<T>& b, index_t i) {
+template <typename T>
+index_t row_flops(const Csr<T>& a, const Csr<T>& b, index_t i) {
   index_t f = 0;
   for (const index_t k : a.row_cols(i)) f += b.row_nnz(k);
   return f;
@@ -140,13 +120,12 @@ struct ChunkScratch {
   std::vector<index_t> stamp;
   std::vector<index_t> touched;
   index_t generation = 0;
-  // Heap: merge cursors + per-stream hoists (B-row pointers and the A
-  // value), so the pop loop never reconstructs spans.
+  // Heap: merge cursors + per-stream B-row hoists, so the pop loop never
+  // reconstructs spans.
   std::vector<HeapCursor> heap;
   std::vector<const index_t*> stream_bcols;
   std::vector<const T*> stream_bvals;
   std::vector<index_t> stream_blen;
-  std::vector<T> stream_aval;
 
   void ensure_dense(index_t ncols) {
     if (stamp.size() < static_cast<std::size_t>(ncols)) {
@@ -167,13 +146,13 @@ struct Slab {
 /// Gustavson row kernel: scatter row `i` into the dense accumulator,
 /// then append the sorted touched columns and their folded values to
 /// the slab.
-template <typename P, typename AV, typename T>
-void gustavson_row(const P& p, const AV& a, const Csr<T>& b, index_t i,
+template <typename P, typename T>
+void gustavson_row(const P& p, const Csr<T>& a, const Csr<T>& b, index_t i,
                    ChunkScratch<T>& s, Slab<T>& slab) {
   const index_t gen = s.generation++;
   s.touched.clear();
   const auto acols = a.row_cols(i);
-  const auto avals = a.gather_row_vals(i, s.stream_aval);
+  const auto avals = a.row_vals(i);
   for (std::size_t ka = 0; ka < acols.size(); ++ka) {
     const index_t k = acols[ka];
     const T av = avals[ka];
@@ -203,8 +182,8 @@ void gustavson_row(const P& p, const AV& a, const Csr<T>& b, index_t i,
 /// Heap row kernel: k-way merge of the B rows named by A(i,:), appending
 /// (col, value) pairs to the slab in strictly increasing column order —
 /// no sort, no accumulator.
-template <typename P, typename AV, typename T>
-void heap_merge_row(const P& p, const AV& a, const Csr<T>& b, index_t i,
+template <typename P, typename T>
+void heap_merge_row(const P& p, const Csr<T>& a, const Csr<T>& b, index_t i,
                     ChunkScratch<T>& s, Slab<T>& slab) {
   auto& heap = s.heap;
   heap.clear();
@@ -212,7 +191,7 @@ void heap_merge_row(const P& p, const AV& a, const Csr<T>& b, index_t i,
   s.stream_bvals.clear();
   s.stream_blen.clear();
   const auto acols = a.row_cols(i);
-  const auto avals = a.gather_row_vals(i, s.stream_aval);
+  const auto avals = a.row_vals(i);
   for (std::size_t ka = 0; ka < acols.size(); ++ka) {
     const auto bcols = b.row_cols(acols[ka]);
     const auto bvals = b.row_vals(acols[ka]);
@@ -264,16 +243,16 @@ void heap_merge_row(const P& p, const AV& a, const Csr<T>& b, index_t i,
 
 // run_chunked — the shared fork/join driver — lives in sparse/csr.hpp's
 // detail namespace: the COO→CSR assembly engine and the parallel
-// transpose/CscView builders use the same chunk decomposition.
+// transpose use the same chunk decomposition.
 
-/// The SpGEMM engine (shape in the file comment), generic over the
-/// A-operand view (CSR rows or a CSC view of the untransposed matrix).
-/// Slabs grow geometrically, amortized across the chunk, so peak memory
-/// is O(output + slack) regardless of the flops/nnz compression ratio.
-template <typename P, typename AV>
+/// The SpGEMM engine (shape in the file comment). Slabs grow
+/// geometrically, amortized across the chunk, so peak memory is
+/// O(output + slack) regardless of the flops/nnz compression ratio.
+template <typename P>
 Csr<typename P::value_type> spgemm_chunk_slab(
-    const P& p, const AV& a, const Csr<typename P::value_type>& b,
-    SpGemmAlgo algo, util::ThreadPool* pool) {
+    const P& p, const Csr<typename P::value_type>& a,
+    const Csr<typename P::value_type>& b, SpGemmAlgo algo,
+    util::ThreadPool* pool) {
   using T = typename P::value_type;
   // Injection site: the product's working-set allocations. A fire means
   // the product produced nothing; both operands are untouched, so callers
@@ -316,7 +295,7 @@ Csr<typename P::value_type> spgemm_chunk_slab(
           if (acols.size() == 1) {
             // Single stream: the row is B(k,:) mapped through ⊗ — no
             // accumulator, no merge, no sort.
-            const T av = a.row_val(i, 0);
+            const T av = a.row_vals(i)[0];
             const auto bcols = b.row_cols(acols[0]);
             const auto bvals = b.row_vals(acols[0]);
             slab.cols.insert(slab.cols.end(), bcols.begin(), bcols.end());
@@ -549,7 +528,8 @@ Csr<typename P::value_type> fold_row_singletons(
 /// null or single-thread pools run serially. Output is byte-identical
 /// across pool sizes. The `Semiring` constraint rejects structurally
 /// malformed pairs and pairs that declare a broken ⊕/⊗ law at compile
-/// time (algebra/concepts.hpp).
+/// time (algebra/concepts.hpp). Throws `std::invalid_argument` when the
+/// inner dimensions disagree, in every build.
 template <typename P>
   requires algebra::Semiring<P>
 Csr<typename P::value_type> spgemm(const P& p,
@@ -557,41 +537,23 @@ Csr<typename P::value_type> spgemm(const P& p,
                                    const Csr<typename P::value_type>& b,
                                    SpGemmAlgo algo = SpGemmAlgo::kGustavson,
                                    util::ThreadPool* pool = nullptr) {
-  using T = typename P::value_type;
-  I2A_EXPECTS(a.ncols() == b.nrows(), "spgemm: inner dimensions disagree");
+  if (a.ncols() != b.nrows()) {
+    throw std::invalid_argument("spgemm: inner dimensions disagree");
+  }
   I2A_EXPECTS(a.is_canonical(), "spgemm: A not canonical CSR");
   I2A_EXPECTS(b.is_canonical(), "spgemm: B not canonical CSR");
-  auto c =
-      detail::spgemm_chunk_slab(p, detail::CsrRowsView<T>{a}, b, algo, pool);
+  auto c = detail::spgemm_chunk_slab(p, a, b, algo, pool);
   I2A_ENSURES(c.is_canonical(), "spgemm: non-canonical product");
   return c;
 }
 
 /// C = Aᵀ ⊕.⊗ B — the paper's product shape (A and B are both tall
-/// edge×vertex incidence arrays) — fused over a prebuilt CSC view of A.
-/// Build the view once per incidence array and amortize it across
-/// products (forward + reverse adjacency, repeated algebra sweeps).
-template <typename P>
-  requires algebra::Semiring<P>
-Csr<typename P::value_type> spgemm_at_b(
-    const P& p, const CscView<typename P::value_type>& at,
-    const Csr<typename P::value_type>& b,
-    SpGemmAlgo algo = SpGemmAlgo::kGustavson,
-    util::ThreadPool* pool = nullptr) {
-  I2A_EXPECTS(at.ncols() == b.nrows(),
-              "spgemm_at_b: inner dimensions disagree");
-  I2A_EXPECTS(b.is_canonical(), "spgemm_at_b: B not canonical CSR");
-  auto c = detail::spgemm_chunk_slab(p, at, b, algo, pool);
-  I2A_ENSURES(c.is_canonical(), "spgemm_at_b: non-canonical product");
-  return c;
-}
-
-/// C = Aᵀ ⊕.⊗ B convenience overload: builds the CSC view internally
-/// (on the pool, when one is given — the view's counting sort chunks the
-/// same way the product does). Structure-only counting sort — unlike the
-/// old `transpose(a)` path, no value array is ever copied or re-laid-out.
-/// With kAuto and two row-singleton operands (incidence arrays) it runs
-/// the row-singleton fold instead and builds no view (file comment).
+/// edge×vertex incidence arrays). With kAuto and two row-singleton
+/// operands (incidence arrays) it runs the row-singleton fold (file
+/// comment); every other case is `spgemm(p, transpose(a, pool), b)`,
+/// with the transpose built on the same pool. Throws
+/// `std::invalid_argument` when A and B have different row counts, in
+/// every build.
 template <typename P>
   requires algebra::Semiring<P>
 Csr<typename P::value_type> spgemm_at_b(
@@ -599,8 +561,10 @@ Csr<typename P::value_type> spgemm_at_b(
     const Csr<typename P::value_type>& b,
     SpGemmAlgo algo = SpGemmAlgo::kGustavson,
     util::ThreadPool* pool = nullptr) {
-  I2A_EXPECTS(a.nrows() == b.nrows(),
-              "spgemm_at_b: Aᵀ inner dimension disagrees with B");
+  if (a.nrows() != b.nrows()) {
+    throw std::invalid_argument(
+        "spgemm_at_b: Aᵀ inner dimension disagrees with B");
+  }
   I2A_EXPECTS(a.is_canonical(), "spgemm_at_b: A not canonical CSR");
   I2A_EXPECTS(b.is_canonical(), "spgemm_at_b: B not canonical CSR");
   if (algo == SpGemmAlgo::kAuto && detail::row_singleton(a) &&
@@ -611,10 +575,7 @@ Csr<typename P::value_type> spgemm_at_b(
       return c;
     }
   }
-  const CscView<typename P::value_type> at(a, pool);
-  auto c = detail::spgemm_chunk_slab(p, at, b, algo, pool);
-  I2A_ENSURES(c.is_canonical(), "spgemm_at_b: non-canonical product");
-  return c;
+  return spgemm(p, transpose(a, pool), b, algo, pool);
 }
 
 }  // namespace i2a::sparse

@@ -1,6 +1,6 @@
 /// \file test_construction_determinism.cpp
 /// \brief The construction pipeline must be bit-deterministic end to end:
-///        `Csr::from_coo`, `transpose`, `CscView`, the direct incidence
+///        `Csr::from_coo`, `transpose`, the direct incidence
 ///        assembly, the block-stream generators, and `build_adjacency`
 ///        all produce byte-identical results under pool sizes {1, 2, 8}
 ///        and serially — the construction-side counterpart of
@@ -74,7 +74,7 @@ void test_from_coo_pool_size_invariance() {
   }
 }
 
-void test_transpose_and_view_pool_size_invariance() {
+void test_transpose_pool_size_invariance() {
   util::ThreadPool pool1(1), pool2(2), pool8(8);
   const auto a = sparse::Csr<double>::from_coo(dup_heavy_coo(211, 67, 3100, 9),
                                                sparse::DupPolicy::kSum);
@@ -82,24 +82,6 @@ void test_transpose_and_view_pool_size_invariance() {
   CHECK(serial_t.is_canonical());
   for (util::ThreadPool* pool : {&pool1, &pool2, &pool8}) {
     CHECK(identical(sparse::transpose(a, pool), serial_t));
-  }
-  // CscView must agree with the materialized transpose entry for entry,
-  // at every pool size.
-  for (util::ThreadPool* pool :
-       {static_cast<util::ThreadPool*>(nullptr), &pool1, &pool8}) {
-    const sparse::CscView<double> view(a, pool);
-    CHECK_EQ(view.nrows(), serial_t.nrows());
-    bool match = true;
-    for (index_t i = 0; i < view.nrows(); ++i) {
-      const auto vc = view.row_cols(i);
-      const auto tc = serial_t.row_cols(i);
-      match &= vc.size() == tc.size();
-      if (!match) break;
-      for (std::size_t k = 0; k < vc.size(); ++k) {
-        match &= vc[k] == tc[k] && view.row_val(i, k) == serial_t.row_vals(i)[k];
-      }
-    }
-    CHECK(match);
   }
 }
 
@@ -162,7 +144,7 @@ void test_incidence_and_end_to_end_pool_size_invariance() {
 
 int main() {
   test_from_coo_pool_size_invariance();
-  test_transpose_and_view_pool_size_invariance();
+  test_transpose_pool_size_invariance();
   test_generators_pool_size_invariance();
   test_incidence_and_end_to_end_pool_size_invariance();
   return TEST_MAIN_RESULT();

@@ -1,9 +1,8 @@
 /// \file test_csr_edge_cases.cpp
 /// \brief CSR invariants the SpGEMM and merge kernels rely on:
 ///        duplicate-policy handling in COO→CSR assembly, `transpose`
-///        round-trips (and the `CscView` that mirrors it without copying
-///        values), and `Csr::checked` rejecting out-of-order columns and
-///        other malformed storage.
+///        round-trips, and `Csr::checked` rejecting out-of-order columns
+///        and other malformed storage.
 
 #include <cstdint>
 #include <stdexcept>
@@ -84,23 +83,6 @@ void test_transpose_round_trip() {
         rowless.cols());
 }
 
-void test_csc_view_matches_transpose() {
-  const auto a = random_csr(19, 26, 90, 9);
-  const auto at = sparse::transpose(a);
-  const sparse::CscView<double> view(a);
-  CHECK_EQ(view.nrows(), at.nrows());
-  CHECK_EQ(view.ncols(), at.ncols());
-  for (index_t i = 0; i < at.nrows(); ++i) {
-    const auto vc = view.row_cols(i);
-    const auto tc = at.row_cols(i);
-    CHECK_EQ(static_cast<index_t>(vc.size()), at.row_nnz(i));
-    for (std::size_t k = 0; k < tc.size(); ++k) {
-      CHECK_EQ(vc[k], tc[k]);
-      CHECK_EQ(view.row_val(i, k), at.row_vals(i)[k]);
-    }
-  }
-}
-
 void test_checked_accepts_canonical() {
   const auto a = random_csr(11, 13, 40, 17);
   CHECK(a.is_canonical());
@@ -150,7 +132,6 @@ void test_checked_rejects_malformed() {
 int main() {
   test_dup_policies();
   test_transpose_round_trip();
-  test_csc_view_matches_transpose();
   test_checked_accepts_canonical();
   test_checked_rejects_malformed();
   return TEST_MAIN_RESULT();

@@ -1,9 +1,10 @@
 /// \file test_spgemm.cpp
 /// \brief The two sparse row kernels must agree with each other and with
 ///        the dense full-semantics baseline on conforming pairs — serial
-///        and thread-pooled.
+///        and thread-pooled — and reject mismatched shapes in every build.
 
 #include <cmath>
+#include <stdexcept>
 
 #include "algebra/pairs.hpp"
 #include "sparse/csr.hpp"
@@ -71,6 +72,39 @@ void test_at_b_matches_explicit_transpose() {
   CHECK_EQ(via_helper.ncols(), 17);
 }
 
+template <typename F>
+bool throws_invalid_argument(F&& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
+}
+
+/// A shape mismatch throws in every build (the `NDEBUG` build included)
+/// before any kernel reads an operand: a 3-row row-singleton A against a
+/// 2-row one would otherwise send the per-edge fold past B's arrays.
+void test_shape_mismatch_throws() {
+  const algebra::PlusTimes<double> p;
+  const sparse::Csr<double> a3(3, 4, {0, 1, 2, 3}, {0, 1, 2}, {1, 1, 1});
+  const sparse::Csr<double> b2(2, 4, {0, 1, 2}, {0, 3}, {1, 1});
+  util::ThreadPool pool(4);
+  for (const auto algo :
+       {sparse::SpGemmAlgo::kGustavson, sparse::SpGemmAlgo::kHeap,
+        sparse::SpGemmAlgo::kAuto}) {
+    CHECK(throws_invalid_argument([&] { sparse::spgemm_at_b(p, a3, b2, algo); }));
+    CHECK(throws_invalid_argument(
+        [&] { sparse::spgemm_at_b(p, b2, a3, algo, &pool); }));
+    // spgemm: A is 3×4, so B needs 4 rows.
+    CHECK(throws_invalid_argument([&] { sparse::spgemm(p, a3, b2, algo); }));
+    CHECK(throws_invalid_argument(
+        [&] { sparse::spgemm(p, a3, a3, algo, &pool); }));
+  }
+  // The matching shapes still multiply.
+  CHECK_EQ(sparse::spgemm_at_b(p, a3, a3, sparse::SpGemmAlgo::kAuto).nnz(), 3);
+}
+
 }  // namespace
 
 int main() {
@@ -79,5 +113,6 @@ int main() {
   check_all_algos_agree(algebra::MinPlus<double>{}, 13);
   check_all_algos_agree(algebra::MaxMin<double>{}, 14);
   test_at_b_matches_explicit_transpose();
+  test_shape_mismatch_throws();
   return TEST_MAIN_RESULT();
 }

@@ -66,14 +66,11 @@ void test_spgemm_at_b_pool_size_invariance() {
   const auto b = random_real_csr(300, 97, 2200, 32);
   const algebra::MinPlus<double> p;
   util::ThreadPool pool1(1), pool2(2), pool8(8);
-  const sparse::CscView<double> view(a);
   for (const auto algo : kAlgos) {
     const auto serial = sparse::spgemm_at_b(p, a, b, algo);
     CHECK(identical(sparse::spgemm_at_b(p, a, b, algo, &pool1), serial));
     CHECK(identical(sparse::spgemm_at_b(p, a, b, algo, &pool2), serial));
     CHECK(identical(sparse::spgemm_at_b(p, a, b, algo, &pool8), serial));
-    // Prebuilt-view overload lands on the identical bytes too.
-    CHECK(identical(sparse::spgemm_at_b(p, view, b, algo, &pool8), serial));
   }
 }
 
