@@ -19,9 +19,9 @@
 /// The bytes produced are identical to the old path's (and pool-size
 /// independent: edge e always lands at slot e).
 ///
-/// Both products take the incidence pair itself and call
-/// `sparse::spgemm_at_b`, whose kAuto folds row-singleton operands per
-/// edge with no transpose (sparse/spgemm.hpp).
+/// Both products call `sparse::spgemm_at_b`, whose kAuto folds the
+/// row-singleton incidence arrays per edge, with no transpose
+/// (sparse/spgemm.hpp).
 
 #include <stdexcept>
 #include <utility>

@@ -1,8 +1,8 @@
 /// \file test_construction_determinism.cpp
 /// \brief The construction pipeline must be bit-deterministic end to end:
-///        `Csr::from_coo`, `transpose`, the direct incidence
-///        assembly, the block-stream generators, and `build_adjacency`
-///        all produce byte-identical results under pool sizes {1, 2, 8}
+///        `Csr::from_coo`, `transpose`, the direct incidence assembly,
+///        the block-stream generators, and `build_adjacency` all
+///        produce byte-identical results under pool sizes {1, 2, 8}
 ///        and serially — the construction-side counterpart of
 ///        test_spgemm_determinism. Full-precision real values throughout,
 ///        so any chunking-dependent reorder would flip bits.
