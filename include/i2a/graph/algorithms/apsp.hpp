@@ -2,15 +2,17 @@
 /// \file graph/algorithms/apsp.hpp
 /// \brief Semiring closures on constructed adjacency arrays: min.+ APSP
 ///        (Floyd–Warshall) and Boolean transitive closure.
+///
+/// Both are dense O(n³) sweeps over a `Csr`. Against a live builder,
+/// pass `snap.materialize()` (and `snap.pair().zero()` for the closure):
+/// one k-way merge, noise next to the sweep.
 
-#include <concepts>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "algebra/concepts.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
-#include "stream/pinned_snapshot.hpp"
 
 namespace i2a::graph {
 
@@ -60,22 +62,6 @@ sparse::Dense<std::uint8_t> transitive_closure(const sparse::Csr<T>& a,
     }
   }
   return reach;
-}
-
-/// Snapshot overloads: both closures are dense O(n³) sweeps, so the one
-/// k-way merge to materialize the pinned runs is noise — delegate.
-template <typename P>
-  requires algebra::Semiring<P> &&
-           std::same_as<typename P::value_type, double>
-sparse::Dense<double> apsp(const stream::PinnedSnapshot<P>& snap) {
-  return apsp(snap.materialize());
-}
-
-template <typename P>
-  requires algebra::Semiring<P>
-sparse::Dense<std::uint8_t> transitive_closure(
-    const stream::PinnedSnapshot<P>& snap) {
-  return transitive_closure(snap.materialize(), snap.pair().zero());
 }
 
 }  // namespace i2a::graph

@@ -1,13 +1,15 @@
 #pragma once
 /// \file graph/algorithms/pagerank.hpp
 /// \brief Power-iteration PageRank on an adjacency array's pattern.
+///
+/// Power iteration sweeps every row each round, so it takes a `Csr`.
+/// Against a live builder, pass `snap.materialize()` and
+/// `snap.pair().zero()`: the output equals rebuilding the covered prefix.
 
 #include <cmath>
 #include <vector>
 
-#include "algebra/concepts.hpp"
 #include "sparse/csr.hpp"
-#include "stream/pinned_snapshot.hpp"
 
 namespace i2a::graph {
 
@@ -61,19 +63,6 @@ std::vector<double> pagerank(const sparse::Csr<T>& a, double damping,
     if (delta < tol) break;
   }
   return rank;
-}
-
-/// PageRank against a live builder's pinned snapshot. Power iteration
-/// sweeps every row max_iters times, so this materializes the pinned
-/// runs once (one k-way ⊕-merge, no further writer interaction) and
-/// runs the CSR overload on the result; the zero element comes from the
-/// snapshot's pair. Identical output to rebuilding the covered prefix.
-template <typename P>
-  requires algebra::Semiring<P>
-std::vector<double> pagerank(const stream::PinnedSnapshot<P>& snap,
-                             double damping, double tol, int max_iters) {
-  return pagerank(snap.materialize(), damping, tol, max_iters,
-                  snap.pair().zero());
 }
 
 }  // namespace i2a::graph

@@ -3,15 +3,15 @@
 /// \brief Bellman–Ford single-source shortest paths over a min.+
 ///        adjacency array (whose entries are already the folded parallel
 ///        -edge minima, by construction), with negative-cycle detection.
+///
+/// Relaxation reads rows until a fixpoint, so it takes a `Csr`. Against a
+/// live min.+ builder, pass `snap.materialize()`.
 
-#include <concepts>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "algebra/concepts.hpp"
 #include "sparse/csr.hpp"
-#include "stream/pinned_snapshot.hpp"
 
 namespace i2a::graph {
 
@@ -95,19 +95,6 @@ inline SsspResult sssp_bellman_ford(const sparse::Csr<double>& a,
     }
   }
   return res;
-}
-
-/// Bellman–Ford against a live min.+ builder's pinned snapshot. The
-/// relaxation loop reads rows until fixpoint, so this materializes the
-/// pinned runs once and delegates; the double constraint matches the
-/// CSR overload (min.+ distances). Entries folded to +inf — the min.+
-/// zero — are already ignored by the relaxation sweeps.
-template <typename P>
-  requires algebra::Semiring<P> &&
-           std::same_as<typename P::value_type, double>
-SsspResult sssp_bellman_ford(const stream::PinnedSnapshot<P>& snap,
-                             index_t src) {
-  return sssp_bellman_ford(snap.materialize(), src);
 }
 
 }  // namespace i2a::graph

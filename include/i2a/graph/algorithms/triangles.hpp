@@ -4,15 +4,18 @@
 ///        variant materializes A·A and masks afterwards; the masked
 ///        variant fuses the mask into the row products (never building
 ///        A·A) — the ablation pair from bench_algorithms.
+///
+/// Both counters read every row repeatedly, so they take a `Csr`.
+/// Against a live builder, pass `snap.materialize()` and
+/// `snap.pair().zero()` (which entries are not edges).
 
 #include <algorithm>
 #include <cstdint>
 
-#include "algebra/concepts.hpp"
 #include "algebra/pairs.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/spgemm.hpp"
-#include "stream/pinned_snapshot.hpp"
 
 namespace i2a::graph {
 
@@ -91,22 +94,6 @@ std::uint64_t count_triangles_masked(const sparse::Csr<T>& a, T zero = T{}) {
     }
   }
   return total / 6;
-}
-
-/// Snapshot overloads: both counters read every row repeatedly (and
-/// `pattern_of` normalizes the whole array anyway), so they materialize
-/// the pinned runs once and delegate. The zero element — which entries
-/// are not edges — comes from the snapshot's pair.
-template <typename P>
-  requires algebra::Semiring<P>
-std::uint64_t count_triangles(const stream::PinnedSnapshot<P>& snap) {
-  return count_triangles(snap.materialize(), snap.pair().zero());
-}
-
-template <typename P>
-  requires algebra::Semiring<P>
-std::uint64_t count_triangles_masked(const stream::PinnedSnapshot<P>& snap) {
-  return count_triangles_masked(snap.materialize(), snap.pair().zero());
 }
 
 }  // namespace i2a::graph
