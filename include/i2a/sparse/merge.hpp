@@ -14,14 +14,19 @@
 /// same as folding everything at once. The merge itself never needs ⊗:
 /// each input row is already a folded adjacency row, so only ⊕ appears.
 ///
-/// Inputs may be dense (`Csr`) or hypersparse (`Dcsr`, sparse/dcsr.hpp)
-/// in any mix, and the output is either layout (`merge_add_as<Out>`): the
-/// streaming ladder merges hypersparse runs into a hypersparse run, a
-/// snapshot materializes them into a dense `Csr`, and the dense
-/// `merge_add_k` overloads stay dense. Either way the passes visit only
-/// *candidate* rows — the union of the row-id lists when every input is
-/// hypersparse, so a merge costs O(k · stored rows + entries) and not
-/// O(n); otherwise every row, skipped after one emptiness test per input.
+/// `merge_add_k<In, Out>` is the one entry point. Every input has the
+/// layout `In`, and the output has the layout `Out` (by default `In`).
+/// Three layout pairs exist, one per caller:
+///
+///   * `Dcsr` → `Dcsr` — the ladder's compactions (stream/shard.hpp);
+///   * `Dcsr` → `Csr`  — `PinnedSnapshot::materialize()`;
+///   * `Csr`  → `Csr`  — `merge(p, a, b)` and the dense runs of the
+///     bench/e2e layer replay.
+///
+/// The passes visit only *candidate* rows. With hypersparse inputs (sparse/
+/// dcsr.hpp) these are the union of the row-id lists, so a merge costs
+/// O(k · stored rows + entries) and not O(n); with dense inputs they are
+/// every row, skipped after one emptiness test per input.
 ///
 /// Engine shape — the same two-pass scheme as the assembly engine
 /// (sparse/csr.hpp):
@@ -44,13 +49,10 @@
 /// by ⊕ in a worker chunk propagate to the caller (the pool captures and
 /// rethrows the first one); the partially built output is discarded.
 ///
-/// Definition I.5 (stored zeros are absent) is an opt-in knob: passing
-/// `drop_zero` omits output entries whose *folded* value equals the zero
-/// element, so an explicit stored zero never survives a merge. The
-/// default keeps all stored entries, matching what the SpGEMM engine
-/// produces — for conforming pairs (zero-sum-free carrier) a fold of
-/// nonzeros can never manufacture a zero, so the adjacency-maintenance
-/// path needs no dropping to stay byte-identical to a full rebuild.
+/// Every stored entry survives, stored zeros included, matching what
+/// the SpGEMM engine produces: for conforming pairs (zero-sum-free
+/// carrier) a fold of nonzeros can never manufacture a zero, so the
+/// adjacency-maintenance path stays byte-identical to a full rebuild.
 
 #include <algorithm>
 #include <cstddef>
@@ -69,31 +71,6 @@
 #include "util/thread_pool.hpp"
 
 namespace i2a::sparse {
-
-/// A non-owning reference to one merge input, in either layout: a dense
-/// `Csr` or a hypersparse `Dcsr`. Implicit from both, so a caller can
-/// list a mixed run-set as `{dense_a, hyper_b}`.
-template <typename T>
-class RunRef {
- public:
-  // NOLINTNEXTLINE(google-explicit-constructor): a view, by design.
-  RunRef(const Csr<T>& m) : dense_(&m) {}
-  // NOLINTNEXTLINE(google-explicit-constructor): a view, by design.
-  RunRef(const Dcsr<T>& m) : hyper_(&m) {}
-
-  index_t nrows() const { return dense_ ? dense_->nrows() : hyper_->nrows(); }
-  index_t ncols() const { return dense_ ? dense_->ncols() : hyper_->ncols(); }
-  bool is_canonical() const {
-    return dense_ ? dense_->is_canonical() : hyper_->is_canonical();
-  }
-  /// Exactly one of the two is non-null.
-  const Csr<T>* dense() const { return dense_; }
-  const Dcsr<T>* hyper() const { return hyper_; }
-
- private:
-  const Csr<T>* dense_ = nullptr;
-  const Dcsr<T>* hyper_ = nullptr;
-};
 
 namespace detail {
 
@@ -129,8 +106,8 @@ struct MergeScratch {
 /// Fold the rows loaded into `s` and call `emit(col, folded_value)` once
 /// per merged column, strictly increasing. Folding visits the loaded rows
 /// in load order — oldest input first — which is the age order callers
-/// rely on. `need_vals` lets the count pass skip value reads entirely
-/// when no zero-dropping is requested.
+/// rely on. `need_vals` = false lets the count pass skip value reads
+/// (and ⊕) entirely; `emit` then sees a value-initialized `T`.
 template <typename T, typename Add, typename Emit>
 void merge_row_k(MergeScratch<T>& s, const Add& add, bool need_vals,
                  const Emit& emit) {
@@ -162,16 +139,16 @@ void merge_row_k(MergeScratch<T>& s, const Add& add, bool need_vals,
   }
 }
 
-/// Position every hypersparse input's cursor at its first stored row
-/// ≥ `r` (a chunk's first row).
-template <typename T>
-void seek_rows(const std::vector<RunRef<T>>& runs, index_t r,
+/// Empty the frontier for a chunk whose first row is `r`; hypersparse
+/// inputs also position each cursor at its first stored row ≥ `r`.
+template <typename Run, typename T>
+void seek_rows(const std::vector<const Run*>& runs, index_t r,
                MergeScratch<T>& s) {
   s.reset(runs.size());
-  s.pos.resize(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (const Dcsr<T>* h = runs[i].hyper()) {
-      const auto& ids = h->row_ids();
+  if constexpr (std::is_same_v<Run, Dcsr<T>>) {
+    s.pos.resize(runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const auto& ids = runs[i]->row_ids();
       s.pos[i] = static_cast<std::size_t>(
           std::lower_bound(ids.begin(), ids.end(), r) - ids.begin());
     }
@@ -182,43 +159,43 @@ void seek_rows(const std::vector<RunRef<T>>& runs, index_t r,
 /// input order; false when none does (the row is skipped). Rows must be
 /// visited in increasing order after `seek_rows`: a hypersparse input is
 /// a cursor over its row ids, a dense one a row-pointer test.
-template <typename T>
-bool load_row(const std::vector<RunRef<T>>& runs, index_t r,
+template <typename Run, typename T>
+bool load_row(const std::vector<const Run*>& runs, index_t r,
               MergeScratch<T>& s) {
   s.loaded = 0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (const Dcsr<T>* h = runs[i].hyper()) {
+    const Run& m = *runs[i];
+    if constexpr (std::is_same_v<Run, Dcsr<T>>) {
       std::size_t& p = s.pos[i];
-      if (p < h->stored_rows() && h->row_ids()[p] == r) {
+      if (p < m.stored_rows() && m.row_ids()[p] == r) {
         const auto k = static_cast<index_t>(p++);
-        s.push(h->stored_cols(k), h->stored_vals(k));
+        s.push(m.stored_cols(k), m.stored_vals(k));
       }
     } else {
-      const Csr<T>& d = *runs[i].dense();
       const auto ri = static_cast<std::size_t>(r);
-      if (d.row_ptr()[ri] != d.row_ptr()[ri + 1]) {
-        s.push(d.row_cols(r), d.row_vals(r));
+      if (m.row_ptr()[ri] != m.row_ptr()[ri + 1]) {
+        s.push(m.row_cols(r), m.row_vals(r));
       }
     }
   }
   return s.loaded > 0;
 }
 
-/// The sorted union of the inputs' row-id lists (every input
-/// hypersparse): a k-way frontier walk, O(k · union). Sized exactly — a
-/// hypersparse merge output keeps this vector as its row ids.
+/// The sorted union of the inputs' row-id lists: a k-way frontier walk,
+/// O(k · union). Sized exactly — a hypersparse merge output keeps this
+/// vector as its row ids.
 template <typename T>
-std::vector<index_t> union_row_ids(const std::vector<RunRef<T>>& runs) {
+std::vector<index_t> union_row_ids(const std::vector<const Dcsr<T>*>& runs) {
   const std::size_t k = runs.size();
   std::size_t bound = 0;
-  for (const auto& m : runs) bound += m.hyper()->stored_rows();
+  for (const Dcsr<T>* m : runs) bound += m->stored_rows();
   std::vector<index_t> rows;
-  rows.reserve(std::min(bound, static_cast<std::size_t>(runs[0].nrows())));
+  rows.reserve(std::min(bound, static_cast<std::size_t>(runs[0]->nrows())));
   std::vector<std::size_t> pos(k, 0);
   for (;;) {
     index_t next = -1;
     for (std::size_t i = 0; i < k; ++i) {
-      const auto& ids = runs[i].hyper()->row_ids();
+      const auto& ids = runs[i]->row_ids();
       if (pos[i] < ids.size() && (next < 0 || ids[pos[i]] < next)) {
         next = ids[pos[i]];
       }
@@ -226,68 +203,59 @@ std::vector<index_t> union_row_ids(const std::vector<RunRef<T>>& runs) {
     if (next < 0) return std::vector<index_t>(rows.begin(), rows.end());
     rows.push_back(next);
     for (std::size_t i = 0; i < k; ++i) {
-      const auto& ids = runs[i].hyper()->row_ids();
+      const auto& ids = runs[i]->row_ids();
       if (pos[i] < ids.size() && ids[pos[i]] == next) ++pos[i];
     }
-  }
-}
-
-/// One input, unmerged, in the layout `Out`.
-template <typename Out, typename T>
-Out convert_run(const RunRef<T>& m) {
-  if constexpr (std::is_same_v<Out, Csr<T>>) {
-    return m.dense() ? *m.dense() : m.hyper()->to_csr();
-  } else {
-    return m.hyper() ? *m.hyper() : Dcsr<T>::compress(*m.dense());
   }
 }
 
 }  // namespace detail
 
 /// The merge kernel: C = runs[0] ⊕ runs[1] ⊕ … ⊕ runs[k-1], entrywise,
-/// all runs the same shape, inputs in any mix of layouts, output in the
-/// layout `Out` (`Csr<T>` or `Dcsr<T>`). `add(a, b)` is ⊕; equal columns
-/// fold in run order, so callers encoding batch age as run order get the
-/// same fold a single-shot build would perform. `drop_zero`, when
-/// non-null, omits output entries whose folded value equals `*drop_zero`
-/// (Definition I.5). Both passes visit only rows some input stores: the
-/// union of the row-id lists when every input is hypersparse, else every
-/// row behind a per-input emptiness test. Output is byte-identical across
-/// pool sizes, and the two layouts hold the same entries.
-template <typename Out, typename T, typename Add>
-  requires std::is_same_v<Out, Csr<T>> || std::is_same_v<Out, Dcsr<T>>
-Out merge_add_as(const std::vector<RunRef<T>>& runs, const Add& add,
-                 util::ThreadPool* pool = nullptr,
-                 const T* drop_zero = nullptr) {
+/// all runs the same shape and the layout `In`, output in the layout
+/// `Out` — `In` itself, or a dense `Csr` from hypersparse runs. `add(a,
+/// b)` is ⊕; equal columns fold in run order, so callers encoding batch
+/// age as run order get the same fold a single-shot build would perform.
+/// Output is byte-identical across pool sizes.
+template <template <typename> class In, template <typename> class Out = In,
+          typename T, typename Add>
+  requires(std::is_same_v<In<T>, Csr<T>> || std::is_same_v<In<T>, Dcsr<T>>) &&
+          (std::is_same_v<Out<T>, In<T>> || std::is_same_v<Out<T>, Csr<T>>)
+Out<T> merge_add_k(const std::vector<const In<T>*>& runs, const Add& add,
+                   util::ThreadPool* pool = nullptr) {
+  I2A_EXPECTS(std::all_of(runs.begin(), runs.end(),
+                          [](const In<T>* m) { return m->is_canonical(); }),
+              "merge_add_k: input run not canonical");
   if (runs.empty()) {
     throw std::invalid_argument("merge_add_k: no input runs");
   }
-  const index_t nrows = runs[0].nrows();
-  const index_t ncols = runs[0].ncols();
-  for (const auto& m : runs) {
-    if (m.nrows() != nrows || m.ncols() != ncols) {
+  const index_t nrows = runs[0]->nrows();
+  const index_t ncols = runs[0]->ncols();
+  for (const In<T>* m : runs) {
+    if (m->nrows() != nrows || m->ncols() != ncols) {
       throw std::invalid_argument("merge_add_k: run shape mismatch");
     }
-    I2A_EXPECTS(m.is_canonical(), "merge_add_k: input run not canonical");
   }
-  const bool dropping = drop_zero != nullptr;
-  if (runs.size() == 1 && !dropping) {
-    return detail::convert_run<Out>(runs[0]);  // fold of one
+  if (runs.size() == 1) {  // fold of one
+    if constexpr (std::is_same_v<Out<T>, In<T>>) {
+      return *runs[0];
+    } else {
+      return runs[0]->to_csr();
+    }
   }
-  const bool listed = std::all_of(runs.begin(), runs.end(),
-                                  [](const auto& m) { return m.hyper(); });
+  constexpr bool kListed = std::is_same_v<In<T>, Dcsr<T>>;
 
   // Injection site: the count pass's scratch/frontier allocations. A
   // fire here leaves every input run untouched — the merge has produced
   // nothing yet (DESIGN.md §10).
   I2A_FAILPOINT("merge.count.scratch");
-  // The slots the passes visit: the union row list when every input is
-  // hypersparse, else every row (slot s is row s).
+  // The slots the passes visit: the union row list of hypersparse
+  // inputs, else every row (slot s is row s).
   std::vector<index_t> rows;
-  if (listed) rows = detail::union_row_ids(runs);
-  const index_t nslots = listed ? static_cast<index_t>(rows.size()) : nrows;
+  if constexpr (kListed) rows = detail::union_row_ids(runs);
+  const index_t nslots = kListed ? static_cast<index_t>(rows.size()) : nrows;
   const auto row_of = [&](index_t slot) {
-    return listed ? rows[static_cast<std::size_t>(slot)] : slot;
+    return kListed ? rows[static_cast<std::size_t>(slot)] : slot;
   };
   const bool parallel = pool != nullptr && pool->size() > 1 && nslots > 0;
   const index_t nchunks =
@@ -297,12 +265,9 @@ Out merge_add_as(const std::vector<RunRef<T>>& runs, const Add& add,
 
   // Pass 1 (count): per-slot merged sizes, written into off[slot + 1]
   // (slots are disjoint across chunks, so no histograms are needed —
-  // unlike the COO scatter, a row merge has exactly one producer). The
-  // count only touches values when zero-dropping makes sizes
-  // value-dependent — that path deliberately folds twice (once to size,
-  // once to write) in exchange for exact sizing with no compaction
-  // copy; the default no-drop path, the adjacency-maintenance hot path,
-  // folds exactly once.
+  // unlike the COO scatter, a row merge has exactly one producer). Sizes
+  // depend only on the column patterns, so the count never reads a
+  // value and ⊕ runs exactly once per merged entry, in the scatter.
   std::vector<index_t> off(static_cast<std::size_t>(nslots) + 1, 0);
   detail::run_chunked(
       pool, parallel, nslots, [&](index_t chunk, index_t lo, index_t hi) {
@@ -311,9 +276,8 @@ Out merge_add_as(const std::vector<RunRef<T>>& runs, const Add& add,
         for (index_t slot = lo; slot < hi; ++slot) {
           if (!detail::load_row(runs, row_of(slot), s)) continue;
           index_t cnt = 0;
-          detail::merge_row_k(s, add, dropping, [&](index_t, const T& v) {
-            if (!dropping || !(v == *drop_zero)) ++cnt;
-          });
+          detail::merge_row_k(s, add, false,
+                              [&cnt](index_t, const T&) { ++cnt; });
           off[static_cast<std::size_t>(slot) + 1] = cnt;
         }
       });
@@ -342,7 +306,6 @@ Out merge_add_as(const std::vector<RunRef<T>>& runs, const Add& add,
           auto w = static_cast<std::size_t>(
               off[static_cast<std::size_t>(slot)]);
           detail::merge_row_k(s, add, true, [&](index_t c, const T& v) {
-            if (dropping && v == *drop_zero) return;
             cols[w] = c;
             vals[w] = v;
             ++w;
@@ -353,9 +316,16 @@ Out merge_add_as(const std::vector<RunRef<T>>& runs, const Add& add,
         }
       });
 
-  if constexpr (std::is_same_v<Out, Csr<T>>) {
+  if constexpr (std::is_same_v<Out<T>, Dcsr<T>>) {
+    // Every union row holds an entry of some input, and every entry
+    // survives, so every slot is a stored row.
+    Dcsr<T> out(nrows, ncols, std::move(rows), std::move(off),
+                std::move(cols), std::move(vals));
+    I2A_ENSURES(out.is_canonical(), "merge_add_k: non-canonical merge");
+    return out;
+  } else {
     std::vector<index_t> row_ptr;
-    if (listed) {
+    if constexpr (kListed) {
       // Spread the listed slots' offsets over every row.
       row_ptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
       std::size_t k = 0;
@@ -370,73 +340,13 @@ Out merge_add_as(const std::vector<RunRef<T>>& runs, const Add& add,
                std::move(vals));
     I2A_ENSURES(out.is_canonical(), "merge_add_k: non-canonical merge");
     return out;
-  } else {
-    std::vector<index_t> row_ids;
-    std::vector<index_t> row_ptr;
-    if (listed && !dropping) {
-      // Every union row holds an entry of some input, and nothing is
-      // dropped, so every slot is a stored row.
-      row_ids = std::move(rows);
-      row_ptr = std::move(off);
-    } else {
-      row_ptr.push_back(0);
-      for (index_t slot = 0; slot < nslots; ++slot) {
-        const index_t end = off[static_cast<std::size_t>(slot) + 1];
-        if (end != off[static_cast<std::size_t>(slot)]) {
-          row_ids.push_back(row_of(slot));
-          row_ptr.push_back(end);
-        }
-      }
-    }
-    Dcsr<T> out(nrows, ncols, std::move(row_ids), std::move(row_ptr),
-                std::move(cols), std::move(vals));
-    I2A_ENSURES(out.is_canonical(), "merge_add_k: non-canonical merge");
-    return out;
   }
 }
 
-/// Dense runs in, dense out: the array layout every caller outside the
-/// streaming ladder uses.
-// i2a-lint: allow(kernel-entry-expects): forwarding overload — the
-// kernel-boundary contract is checked by `merge_add_as`, which it
-// immediately calls.
-template <typename T, typename Add>
-Csr<T> merge_add_k(const std::vector<const Csr<T>*>& runs, const Add& add,
-                   util::ThreadPool* pool = nullptr,
-                   const T* drop_zero = nullptr) {
-  std::vector<RunRef<T>> refs;
-  refs.reserve(runs.size());
-  for (const auto* m : runs) refs.emplace_back(*m);
-  return merge_add_as<Csr<T>>(refs, add, pool, drop_zero);
-}
-
-/// Hypersparse runs in, hypersparse out: the ladder's compaction.
-// i2a-lint: allow(kernel-entry-expects): forwarding overload — the
-// kernel-boundary contract is checked by `merge_add_as`, which it
-// immediately calls.
-template <typename T, typename Add>
-Dcsr<T> merge_add_k(const std::vector<const Dcsr<T>*>& runs, const Add& add,
-                    util::ThreadPool* pool = nullptr,
-                    const T* drop_zero = nullptr) {
-  std::vector<RunRef<T>> refs;
-  refs.reserve(runs.size());
-  for (const auto* m : runs) refs.emplace_back(*m);
-  return merge_add_as<Dcsr<T>>(refs, add, pool, drop_zero);
-}
-
-/// Two-run convenience: C = a ⊕ b (a folds first — a is the *older*
-/// array when maintaining an adjacency).
-template <typename T, typename Add>
-Csr<T> merge_add(const Csr<T>& a, const Csr<T>& b, const Add& add,
-                 util::ThreadPool* pool = nullptr,
-                 const T* drop_zero = nullptr) {
-  return merge_add_k(std::vector<const Csr<T>*>{&a, &b}, add, pool,
-                     drop_zero);
-}
-
-/// Operator-pair convenience: ⊕ is `p.add`, the same fold Theorem II.1's
-/// construction applies to parallel edges. Only the ⊕ contract is
-/// required — a merge never touches ⊗ — so the constraint is
+/// Operator-pair convenience: C = a ⊕ b with ⊕ = `p.add`, the same fold
+/// Theorem II.1's construction applies to parallel edges (a folds first
+/// — a is the *older* array when maintaining an adjacency). Only the ⊕
+/// contract is required — a merge never touches ⊗ — so the constraint is
 /// `CommutativeMonoidAdd`, not the full `Semiring`.
 template <typename P>
   requires algebra::CommutativeMonoidAdd<P>
@@ -444,8 +354,9 @@ Csr<typename P::value_type> merge(
     const P& p, const Csr<typename P::value_type>& a,
     const Csr<typename P::value_type>& b, util::ThreadPool* pool = nullptr) {
   using T = typename P::value_type;
-  return merge_add(
-      a, b, [&p](const T& x, const T& y) { return p.add(x, y); }, pool);
+  return merge_add_k(
+      std::vector<const Csr<T>*>{&a, &b},
+      [&p](const T& x, const T& y) { return p.add(x, y); }, pool);
 }
 
 }  // namespace i2a::sparse

@@ -136,13 +136,13 @@ class PinnedSnapshot {
           n_, n_, std::vector<index_t>(static_cast<std::size_t>(n_) + 1, 0),
           {}, {});
     }
-    std::vector<sparse::RunRef<value_type>> refs;
-    refs.reserve(num_runs_);
+    std::vector<const sparse::Dcsr<value_type>*> runs;
+    runs.reserve(num_runs_);
     for (const auto& group : shards_) {
-      for (const RunPtr& r : group) refs.emplace_back(*r);
+      for (const RunPtr& r : group) runs.push_back(r.get());
     }
-    return sparse::merge_add_as<sparse::Csr<value_type>>(
-        refs,
+    return sparse::merge_add_k<sparse::Dcsr, sparse::Csr>(
+        runs,
         [this](const value_type& x, const value_type& y) {
           return p_.add(x, y);
         },

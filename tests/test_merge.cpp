@@ -3,9 +3,10 @@
 ///        ⊕-merge (sparse/merge.hpp): every engine output is bitwise
 ///        -compared against `merge_add_reference` below (a deliberately
 ///        independent concatenate/stable-sort/fold-left oracle) across
-///        pool sizes and both input and output layouts (dense `Csr`,
-///        hypersparse `Dcsr`), and the Definition I.5 zero-dropping knob
-///        and the exception-from-chunk semantics are pinned explicitly.
+///        pool sizes and the three layout pairs (dense → dense,
+///        hypersparse → hypersparse, hypersparse → dense), and stored
+///        zeros and the exception-from-chunk semantics are pinned
+///        explicitly.
 
 #include <algorithm>
 #include <cstdint>
@@ -34,8 +35,7 @@ using i2a::test::dcsr_bitwise_equal;
 /// Deliberately shares no code with the engine.
 template <typename T, typename Add>
 sparse::Csr<T> merge_add_reference(const std::vector<const sparse::Csr<T>*>& runs,
-                                   const Add& add,
-                                   const T* drop_zero = nullptr) {
+                                   const Add& add) {
   const index_t nrows = runs.at(0)->nrows();
   const index_t ncols = runs[0]->ncols();
   std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
@@ -60,11 +60,9 @@ sparse::Csr<T> merge_add_reference(const std::vector<const sparse::Csr<T>*>& run
       for (; j < buf.size() && buf[j].first == buf[i].first; ++j) {
         acc = add(acc, buf[j].second);
       }
-      if (drop_zero == nullptr || !(acc == *drop_zero)) {
-        cols.push_back(buf[i].first);
-        vals.push_back(acc);
-        ++row_ptr[static_cast<std::size_t>(r) + 1];
-      }
+      cols.push_back(buf[i].first);
+      vals.push_back(acc);
+      ++row_ptr[static_cast<std::size_t>(r) + 1];
       i = j;
     }
   }
@@ -77,6 +75,24 @@ sparse::Csr<T> merge_add_reference(const std::vector<const sparse::Csr<T>*>& run
 }
 
 double plus(const double& a, const double& b) { return a + b; }
+
+/// C = a ⊕ b, a folding first: the two-run dense merge.
+template <typename Add>
+sparse::Csr<double> merge_pair(const sparse::Csr<double>& a,
+                               const sparse::Csr<double>& b, const Add& add,
+                               util::ThreadPool* pool = nullptr) {
+  return sparse::merge_add_k(std::vector<const sparse::Csr<double>*>{&a, &b},
+                             add, pool);
+}
+
+/// The same two runs, compressed to hypersparse and merged into `Out`.
+template <template <typename> class Out, typename Add>
+Out<double> merge_pair_hyper(const sparse::Dcsr<double>& a,
+                             const sparse::Dcsr<double>& b, const Add& add,
+                             util::ThreadPool* pool = nullptr) {
+  return sparse::merge_add_k<sparse::Dcsr, Out>(
+      std::vector<const sparse::Dcsr<double>*>{&a, &b}, add, pool);
+}
 
 sparse::Csr<double> random_csr(index_t nr, index_t nc, index_t nnz,
                                std::uint64_t seed) {
@@ -94,14 +110,13 @@ sparse::Csr<double> random_csr(index_t nr, index_t nc, index_t nnz,
 }
 
 /// Engine vs oracle across pool sizes {serial, 1, 4, 8}, bitwise.
-void check_matches_reference(const std::vector<const sparse::Csr<double>*>& runs,
-                             const double* drop_zero = nullptr) {
-  const auto expected = merge_add_reference(runs, plus, drop_zero);
-  const auto serial = sparse::merge_add_k(runs, plus, nullptr, drop_zero);
+void check_matches_reference(const std::vector<const sparse::Csr<double>*>& runs) {
+  const auto expected = merge_add_reference(runs, plus);
+  const auto serial = sparse::merge_add_k(runs, plus);
   CHECK(csr_bitwise_equal(serial, expected));
   for (const std::size_t threads : {1u, 4u, 8u}) {
     util::ThreadPool pool(threads);
-    const auto got = sparse::merge_add_k(runs, plus, &pool, drop_zero);
+    const auto got = sparse::merge_add_k(runs, plus, &pool);
     CHECK(csr_bitwise_equal(got, expected));
   }
 }
@@ -115,7 +130,7 @@ void test_empty_delta() {
   check_matches_reference({&empty, &empty});
   // Merging an empty delta is the identity, bit for bit.
   util::ThreadPool pool(4);
-  CHECK(csr_bitwise_equal(sparse::merge_add(master, empty, plus, &pool), master));
+  CHECK(csr_bitwise_equal(merge_pair(master, empty, plus, &pool), master));
 }
 
 void test_disjoint_delta() {
@@ -132,7 +147,7 @@ void test_disjoint_delta() {
   const auto a = sparse::Csr<double>::from_coo(std::move(ca));
   const auto b = sparse::Csr<double>::from_coo(std::move(cb));
   check_matches_reference({&a, &b});
-  const auto merged = sparse::merge_add(a, b, plus);
+  const auto merged = merge_pair(a, b, plus);
   CHECK_EQ(merged.nnz(), a.nnz() + b.nnz());
 }
 
@@ -140,7 +155,7 @@ void test_fully_overlapping_delta() {
   // Identical patterns: every entry folds, nnz stays put, values double.
   const auto a = random_csr(25, 25, 200, 9);
   check_matches_reference({&a, &a});
-  const auto merged = sparse::merge_add(a, a, plus);
+  const auto merged = merge_pair(a, a, plus);
   CHECK_EQ(merged.nnz(), a.nnz());
   for (index_t r = 0; r < a.nrows(); ++r) {
     const auto mv = merged.row_vals(r);
@@ -178,70 +193,75 @@ void test_kway_random() {
 }
 
 void test_explicit_zero_entries() {
-  // Definition I.5: with the drop_zero knob, stored zeros are absent from
-  // the output — whether they were stored in an input or manufactured by
-  // the fold (+1 ⊕ -1).
+  // Every stored entry survives a merge, stored zeros included — whether
+  // stored in an input or manufactured by the fold (+1 ⊕ -1). This is
+  // what the SpGEMM engine produces, so the bytes match a rebuild.
   sparse::Coo<double> ca(4, 4), cb(4, 4);
-  ca.push(0, 0, 0.0);   // stored zero, unmatched: dropped
-  ca.push(0, 1, 1.0);   // survives
-  ca.push(1, 2, 1.0);   // +1 ⊕ -1 → 0: dropped
-  ca.push(2, 3, 2.0);   // survives, folded with 3.0
+  ca.push(0, 0, 0.0);   // stored zero, unmatched: kept
+  ca.push(0, 1, 1.0);
+  ca.push(1, 2, 1.0);   // +1 ⊕ -1 → stored 0: kept
+  ca.push(2, 3, 2.0);   // folded with 3.0
   cb.push(1, 2, -1.0);
   cb.push(2, 3, 3.0);
-  cb.push(3, 3, 0.0);   // stored zero in the delta: dropped
+  cb.push(3, 3, 0.0);   // stored zero in the delta: kept
   const auto a = sparse::Csr<double>::from_coo(std::move(ca));
   const auto b = sparse::Csr<double>::from_coo(std::move(cb));
-  const double zero = 0.0;
-  check_matches_reference({&a, &b}, &zero);
-  const auto merged = sparse::merge_add(a, b, plus, nullptr, &zero);
-  CHECK_EQ(merged.nnz(), 2);
-  CHECK_EQ(merged.at(0, 1, -1.0), 1.0);
-  CHECK_EQ(merged.at(2, 3, -1.0), 5.0);
-  CHECK_EQ(merged.at(0, 0, -1.0), -1.0);  // absent, not stored-zero
-  CHECK_EQ(merged.at(1, 2, -1.0), -1.0);
-  CHECK_EQ(merged.at(3, 3, -1.0), -1.0);
-  CHECK(merged.is_canonical());
-  // Without the knob every stored entry survives, zeros included — the
-  // byte-compatible default for SpGEMM-produced inputs.
-  const auto kept = sparse::merge_add(a, b, plus);
+  check_matches_reference({&a, &b});
+  const auto kept = merge_pair(a, b, plus);
   CHECK_EQ(kept.nnz(), 5);
   CHECK_EQ(kept.at(0, 0, -1.0), 0.0);
   CHECK_EQ(kept.at(1, 2, -1.0), 0.0);
+  CHECK_EQ(kept.at(2, 3, -1.0), 5.0);
+  CHECK_EQ(kept.at(3, 3, -1.0), 0.0);
+  // The hypersparse pairs keep them too.
+  const auto ha = sparse::Dcsr<double>::compress(a);
+  const auto hb = sparse::Dcsr<double>::compress(b);
+  CHECK(csr_bitwise_equal(merge_pair_hyper<sparse::Csr>(ha, hb, plus), kept));
+  CHECK(dcsr_bitwise_equal(merge_pair_hyper<sparse::Dcsr>(ha, hb, plus),
+                           sparse::Dcsr<double>::compress(kept)));
 }
 
 void test_exception_from_chunk() {
   // ⊕ throwing inside a worker chunk must surface on the caller, under
-  // every pool size, for both the value-reading count pass (drop_zero
-  // set) and the scatter pass.
+  // every pool size, for each layout pair: dense → dense, hypersparse →
+  // hypersparse (the ladder) and hypersparse → dense (materialize). The
+  // count pass never calls ⊕, so the throw comes from the scatter pass.
   const auto a = random_csr(64, 32, 300, 31);
   const auto b = random_csr(64, 32, 300, 32);
+  const auto ha = sparse::Dcsr<double>::compress(a);
+  const auto hb = sparse::Dcsr<double>::compress(b);
+  const auto expected = merge_add_reference<double>({&a, &b}, plus);
   struct Boom {};
   const auto throwing = [](const double&, const double&) -> double {
     throw Boom{};
   };
-  const double zero = 0.0;
-  for (const double* dz : {static_cast<const double*>(nullptr), &zero}) {
-    bool threw = false;
+  const auto throws = [](const auto& call) {
     try {
-      (void)sparse::merge_add(a, b, throwing, nullptr, dz);
+      (void)call();
     } catch (const Boom&) {
-      threw = true;
+      return true;
     }
-    CHECK(threw);
-    for (const std::size_t threads : {2u, 8u}) {
-      util::ThreadPool pool(threads);
-      threw = false;
-      try {
-        (void)sparse::merge_add(a, b, throwing, &pool, dz);
-      } catch (const Boom&) {
-        threw = true;
-      }
-      CHECK(threw);
-      // The pool must remain serviceable after capturing the throw.
-      const auto ok = sparse::merge_add(a, b, plus, &pool);
-      CHECK(csr_bitwise_equal(
-          ok, merge_add_reference<double>({&a, &b}, plus)));
-    }
+    return false;
+  };
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  pools.push_back(std::make_unique<util::ThreadPool>(2));
+  pools.push_back(std::make_unique<util::ThreadPool>(8));
+  for (const auto& owned : pools) {
+    util::ThreadPool* pool = owned.get();
+    CHECK(throws([&] { return merge_pair(a, b, throwing, pool); }));
+    CHECK(throws([&] {
+      return merge_pair_hyper<sparse::Dcsr>(ha, hb, throwing, pool);
+    }));
+    CHECK(throws([&] {
+      return merge_pair_hyper<sparse::Csr>(ha, hb, throwing, pool);
+    }));
+    // The pool must remain serviceable after capturing the throw.
+    CHECK(csr_bitwise_equal(merge_pair(a, b, plus, pool), expected));
+    CHECK(dcsr_bitwise_equal(merge_pair_hyper<sparse::Dcsr>(ha, hb, plus, pool),
+                             sparse::Dcsr<double>::compress(expected)));
+    CHECK(csr_bitwise_equal(merge_pair_hyper<sparse::Csr>(ha, hb, plus, pool),
+                            expected));
   }
 }
 
@@ -250,7 +270,7 @@ void test_shape_mismatch_rejected() {
   const auto b = random_csr(10, 11, 20, 42);
   bool threw = false;
   try {
-    (void)sparse::merge_add(a, b, plus);
+    (void)merge_pair(a, b, plus);
   } catch (const std::invalid_argument&) {
     threw = true;
   }
@@ -269,7 +289,7 @@ void test_zero_row_matrices() {
   const sparse::Csr<double> a(0, 5, {0}, {}, {});
   const sparse::Csr<double> b(0, 5, {0}, {}, {});
   util::ThreadPool pool(4);
-  const auto merged = sparse::merge_add(a, b, plus, &pool);
+  const auto merged = merge_pair(a, b, plus, &pool);
   CHECK_EQ(merged.nrows(), 0);
   CHECK_EQ(merged.nnz(), 0);
 }
@@ -324,13 +344,13 @@ std::vector<index_t> shape_rows(int shape, index_t nr, std::size_t i,
   return rows;
 }
 
-/// The new kernel against the oracle on both output layouts, over
-/// hypersparse, dense and mixed inputs, k = 1..8, pools {serial, 1, 4},
-/// with and without zero-dropping.
+/// The kernel against the oracle on the three layout pairs, over
+/// hypersparse, disjoint, full and near-empty run sets, k = 1..8, pools
+/// {serial, 1, 4}, with unsigned and signed values (a signed + fold can
+/// cancel to a stored zero, which must survive).
 void test_layout_differential() {
   const index_t nr = 37;
   const index_t nc = 29;
-  const double zero = 0.0;
   std::vector<std::unique_ptr<util::ThreadPool>> pools;
   pools.push_back(nullptr);
   pools.push_back(std::make_unique<util::ThreadPool>(1));
@@ -338,12 +358,12 @@ void test_layout_differential() {
   std::uint64_t seed = 1000;
   for (std::size_t k = 1; k <= 8; ++k) {
     for (int shape = 0; shape < 4; ++shape) {
-      for (const bool dropping : {false, true}) {
+      for (const bool signed_vals : {false, true}) {
         util::Xoshiro256 rng(++seed);
         std::vector<sparse::Csr<double>> dense;
         for (std::size_t i = 0; i < k; ++i) {
           dense.push_back(rows_csr(nr, nc, shape_rows(shape, nr, i, k, rng),
-                                   rng.next(), dropping));
+                                   rng.next(), signed_vals));
         }
         std::vector<sparse::Dcsr<double>> hyper;
         std::vector<const sparse::Csr<double>*> dense_ptrs;
@@ -352,38 +372,21 @@ void test_layout_differential() {
           dense_ptrs.push_back(&m);
           CHECK(csr_bitwise_equal(hyper.back().to_csr(), m));
         }
-        const double* dz = dropping ? &zero : nullptr;
-        const auto expected = merge_add_reference(dense_ptrs, plus, dz);
-        const auto expected_hyper = sparse::Dcsr<double>::compress(expected);
-        // Layout mixes: all hypersparse, all dense, alternating.
-        for (int mix = 0; mix < 3; ++mix) {
-          std::vector<sparse::RunRef<double>> refs;
-          for (std::size_t i = 0; i < k; ++i) {
-            const bool h = mix == 0 || (mix == 2 && i % 2 == 0);
-            if (h) {
-              refs.emplace_back(hyper[i]);
-            } else {
-              refs.emplace_back(dense[i]);
-            }
-          }
-          for (const auto& pool : pools) {
-            const auto d = sparse::merge_add_as<sparse::Csr<double>>(
-                refs, plus, pool.get(), dz);
-            const auto h = sparse::merge_add_as<sparse::Dcsr<double>>(
-                refs, plus, pool.get(), dz);
-            CHECK(csr_bitwise_equal(d, expected));
-            CHECK(dcsr_bitwise_equal(h, expected_hyper));
-            CHECK(h.is_canonical());
-          }
-        }
-        // The typed overloads: dense in/out and hypersparse in/out.
         std::vector<const sparse::Dcsr<double>*> hyper_ptrs;
         for (const auto& m : hyper) hyper_ptrs.push_back(&m);
-        CHECK(csr_bitwise_equal(sparse::merge_add_k(dense_ptrs, plus, nullptr, dz),
-                                expected));
-        CHECK(dcsr_bitwise_equal(
-            sparse::merge_add_k(hyper_ptrs, plus, nullptr, dz),
-            expected_hyper));
+        const auto expected = merge_add_reference(dense_ptrs, plus);
+        const auto expected_hyper = sparse::Dcsr<double>::compress(expected);
+        for (const auto& pool : pools) {
+          CHECK(csr_bitwise_equal(
+              sparse::merge_add_k(dense_ptrs, plus, pool.get()), expected));
+          const auto h = sparse::merge_add_k(hyper_ptrs, plus, pool.get());
+          CHECK(dcsr_bitwise_equal(h, expected_hyper));
+          CHECK(h.is_canonical());
+          CHECK(csr_bitwise_equal(
+              sparse::merge_add_k<sparse::Dcsr, sparse::Csr>(
+                  hyper_ptrs, plus, pool.get()),
+              expected));
+        }
       }
     }
   }

@@ -1,7 +1,6 @@
 // Clean twin for rule `kernel-entry-expects`: the kernels open with
 // I2A_EXPECTS, a forwarding overload carries the documented allow
-// marker (the real-tree shape: sparse/merge.hpp's shared_ptr overload),
-// and *calls* to kernel-named functions are not declarations.
+// marker, and *calls* to kernel-named functions are not declarations.
 #pragma once
 
 #define I2A_EXPECTS(cond, msg) static_cast<void>(0)
