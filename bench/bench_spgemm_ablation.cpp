@@ -1,8 +1,8 @@
 /// \file bench_spgemm_ablation.cpp
 /// \brief PERF2: SpGEMM ablation — the engine's row kernels (Gustavson,
 ///        heap, and kAuto's width rule) against the dense full-semantics
-///        baseline, and the fused AᵀB incidence shape, across density,
-///        size and output width.
+///        baseline, and the per-edge fold of R-MAT incidence arrays,
+///        across density, size and output width.
 ///
 /// Every run lands in BENCH_spgemm.json (override with --benchmark_out),
 /// with two machine-readable signals per point: items/s (semiring flops,
@@ -13,9 +13,12 @@
 #define I2A_BENCH_COUNT_ALLOCS
 #include "bench_common.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "algebra/pairs.hpp"
+#include "graph/incidence.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/spgemm.hpp"
 
@@ -115,19 +118,29 @@ void BM_SpGemm_DenseBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_SpGemm_DenseBaseline)->Arg(128)->Arg(256)->Arg(512);
 
-// The paper's product shape: tall incidence arrays, Eᵀ E (few columns).
-// Items are edges, so items/s is edges/s.
+// The paper's product shape: A = Eᵀout ⊕.⊗ Ein over the incidence
+// arrays of an R-MAT graph with edge factor 8 (so edges/8 vertices).
+// Every incidence row holds exactly one entry, so kAuto runs the
+// per-edge fold, as every `adjacency_array` caller does; the point
+// refuses to time anything else. Items are edges, so items/s is edges/s.
 void BM_SpGemm_IncidenceShape(benchmark::State& state) {
   const index_t edges = state.range(0);
-  const index_t vertices = edges / 8;
-  const auto density = 1.0 / static_cast<double>(vertices);
-  const auto eout = bench::random_matrix(edges, vertices, density, 3);
-  const auto ein = bench::random_matrix(edges, vertices, density, 4);
+  const int scale =
+      static_cast<int>(std::bit_width(static_cast<std::uint64_t>(edges / 8))) -
+      1;
   const algebra::PlusTimes<double> p;
+  const auto inc =
+      graph::incidence_arrays(bench::rmat_graph(scale, 8, 3), p);
+  if (!sparse::detail::row_singleton(inc.eout) ||
+      !sparse::detail::row_singleton(inc.ein)) {
+    state.SkipWithError("incidence operands are not row singletons");
+    return;
+  }
+  const index_t vertices = inc.eout.ncols();
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const auto before = bench::alloc_count();
-    auto c = sparse::spgemm_at_b(p, eout, ein, SpGemmAlgo::kAuto);
+    auto c = sparse::spgemm_at_b(p, inc.eout, inc.ein, SpGemmAlgo::kAuto);
     benchmark::DoNotOptimize(c);
     allocs += bench::alloc_count() - before;
   }
