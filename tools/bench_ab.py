@@ -10,27 +10,23 @@ rounds, change first in odd ones), each run with
 --benchmark_enable_random_interleaving=true, and prints one verdict per
 benchmark point for the change against the base: better, worse,
 unchanged or unresolved. The verdict is bench/e2e/run.py's
-`metric_verdict` over the per-round values (one base and one change value
-per round form a pair), at the relative bound given by --bound.
+`metric_verdict` over the per-round wall times (`real_time`, lower is
+better; one base and one change value per round form a pair), at the
+relative bound given by --bound.
 
 Usage:
-  bench_ab.py SUITE [--base REV] [--rounds R] [--bound B]
-              [--metric real_time] [--filter REGEX] [--min-time SECONDS]
+  bench_ab.py SUITE [--base REV] [--rounds R] [--bound B] [--filter REGEX]
       Exits 1 when any point is worse or a run reports an error.
   bench_ab.py --self-test
       Runs the verdict path on canned base/change results (no build) and
       checks that it reports better, worse, unchanged and unresolved where
       expected.
-
-A metric whose name ends in `per_second` is better when higher; any
-other (real_time, cpu_time, a latency counter) is better when lower.
 """
 
 import argparse
 import json
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 
@@ -44,15 +40,15 @@ sys.path.insert(0, os.path.join(ROOT, "bench", "e2e"))
 from run import metric_verdict, summarize  # noqa: E402
 
 
-def better_of(metric):
-    return "higher" if metric.endswith("per_second") else "lower"
-
-
 def build(src, build_dir, suite):
+    # The extracted base tree lies inside this repository: stop git's
+    # search at the build directory, so the suite's recorded commit reads
+    # "unknown" instead of the working tree's.
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=build_dir)
     subprocess.run(["cmake", "-S", src, "-B", build_dir,
                     "-DCMAKE_BUILD_TYPE=Release",
                     "-DI2A_BUILD_BENCHMARKS=ON"],
-                   check=True, stdout=subprocess.DEVNULL)
+                   check=True, stdout=subprocess.DEVNULL, env=env)
     subprocess.run(["cmake", "--build", build_dir, "-j", "4",
                     "--target", suite], check=True, stdout=subprocess.DEVNULL)
     return os.path.join(build_dir, suite)
@@ -67,27 +63,17 @@ def extract(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def point_values(doc, metric):
-    """{point: value} from one google-benchmark JSON result: the median
-    over the run's repetitions of each point (aggregates skipped), or
-    None for a point that reported an error."""
-    reps = {}
-    for b in doc["benchmarks"]:
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        name = b.get("run_name", b["name"])
-        if b.get("error_occurred"):
-            reps[name] = None
-        elif reps.get(name, []) is not None:
-            reps.setdefault(name, []).append(float(b[metric]))
-    return {name: None if v is None else statistics.median(v)
-            for name, v in reps.items()}
+def point_values(doc):
+    """{point: real_time} from one google-benchmark JSON result, or None
+    for a point that reported an error."""
+    return {b["name"]: None if b.get("error_occurred") else float(b["real_time"])
+            for b in doc["benchmarks"]}
 
 
-def verdicts(base_runs, change_runs, metric, bound):
+def verdicts(base_runs, change_runs, bound):
     """[(point, verdict, base median, change median)], one row per point,
     in first-seen order. Round r's base and change runs form a pair."""
-    rounds = [(point_values(a, metric), point_values(b, metric))
+    rounds = [(point_values(a), point_values(b))
               for a, b in zip(base_runs, change_runs)]
     points = []
     for a, b in rounds:
@@ -102,15 +88,15 @@ def verdicts(base_runs, change_runs, metric, bound):
             rows.append((name, "error", None, None))
             continue
         sa, sb = summarize(va), summarize(vb)
-        rows.append((name, metric_verdict(sa, sb, better_of(metric), bound),
+        rows.append((name, metric_verdict(sa, sb, "lower", bound),
                      sa["median"], sb["median"]))
     return rows
 
 
-def print_rows(rows, metric, bound):
+def print_rows(rows, bound):
     width = max([len(r[0]) for r in rows] + [5])
     print("%-*s  %14s  %14s  %7s  verdict (bound %g)"
-          % (width, "point", "base " + metric, "change", "ratio", bound))
+          % (width, "point", "base real_time", "change", "ratio", bound))
     for name, verdict, ma, mb in rows:
         if ma is None:
             print("%-*s  %14s  %14s  %7s  %s" % (width, name, "-", "-", "-",
@@ -125,9 +111,7 @@ def run_once(binary, out, args):
            "--benchmark_out=" + out, "--benchmark_out_format=json"]
     if args.filter:
         cmd.append("--benchmark_filter=" + args.filter)
-    if args.min_time:
-        cmd.append("--benchmark_min_time=" + args.min_time)
-    # The suites write scratch files (WAL directories) under the cwd.
+    # Run beside the output, so nothing a suite writes lands in the cwd.
     subprocess.run(cmd, check=True, cwd=os.path.dirname(out),
                    stdout=subprocess.DEVNULL)
     with open(out) as f:
@@ -151,21 +135,20 @@ def cmd_ab(args):
             out = os.path.join(runs_dir, "%s-%d.json" % (side, r))
             runs[side].append(run_once(binaries[side], out, args))
         print("round %d/%d done" % (r + 1, args.rounds), file=sys.stderr)
-    rows = verdicts(runs["base"], runs["change"], args.metric, args.bound)
+    rows = verdicts(runs["base"], runs["change"], args.bound)
     print("%s: base %s vs working tree, %d rounds"
           % (args.suite, args.base, args.rounds))
-    print_rows(rows, args.metric, args.bound)
+    print_rows(rows, args.bound)
     return 1 if any(v in ("worse", "error") for _, v, _, _ in rows) else 0
 
 
 def canned(points):
     """A google-benchmark JSON result with one iteration row per point."""
-    return {"benchmarks": [dict(name=n, run_name=n, run_type="iteration",
-                                real_time=v, time_unit="ns")
+    return {"benchmarks": [dict(name=n, real_time=v, time_unit="ns")
                            for n, v in points.items()]}
 
 
-def cmd_self_test(_args):
+def cmd_self_test():
     """Eight canned rounds. Base times sit near 100 with a ~1% spread;
     each point's change times are built to land on one verdict at a 5%
     bound (lower real_time is better)."""
@@ -193,23 +176,16 @@ def cmd_self_test(_args):
     # A point that fails in one change run is reported as an error.
     for runs in (base_runs, change_runs):
         for doc in runs:
-            doc["benchmarks"].append(dict(name="BM_Broken",
-                                          run_name="BM_Broken",
-                                          run_type="iteration",
-                                          real_time=100.0))
+            doc["benchmarks"].append(dict(name="BM_Broken", real_time=100.0))
     change_runs[3]["benchmarks"][-1]["error_occurred"] = True
-    rows = verdicts(base_runs, change_runs, "real_time", 0.05)
-    print_rows(rows, "real_time", 0.05)
+    rows = verdicts(base_runs, change_runs, 0.05)
+    print_rows(rows, 0.05)
     got = {name: v for name, v, _, _ in rows}
     failures = 0
     for name, want in expect.items():
         if got.get(name) != want:
             failures += 1
             print("FAIL %s: expected %s, got %s" % (name, want, got.get(name)))
-    if better_of("items_per_second") != "higher" or \
-            better_of("real_time") != "lower":
-        failures += 1
-        print("FAIL better_of: wrong direction")
     print("self-test: %s" % ("FAILED" if failures else "ok"))
     return 1 if failures else 0
 
@@ -225,14 +201,11 @@ def main():
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--bound", type=float, default=0.05,
                         help="relative bound of the verdict (default 0.05)")
-    parser.add_argument("--metric", default="real_time")
     parser.add_argument("--filter", default=None)
-    parser.add_argument("--min-time", default=None,
-                        help="--benchmark_min_time, a plain number of seconds")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
-        return cmd_self_test(args)
+        return cmd_self_test()
     if not args.suite:
         parser.error("a suite is required unless --self-test is given")
     return cmd_ab(args)
