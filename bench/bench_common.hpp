@@ -164,8 +164,9 @@ inline sparse::Csr<double> random_matrix(index_t nr, index_t nc,
 
 /// Standard Graph500-flavored R-MAT instance used across the suites.
 inline graph::Graph rmat_graph(int scale, index_t edge_factor,
-                               std::uint64_t seed) {
-  return graph::gen::rmat(scale, edge_factor, 0.57, 0.19, 0.19, seed);
+                               std::uint64_t seed,
+                               util::ThreadPool* pool = nullptr) {
+  return graph::gen::rmat(scale, edge_factor, 0.57, 0.19, 0.19, seed, pool);
 }
 
 }  // namespace i2a::bench

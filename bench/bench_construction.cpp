@@ -10,7 +10,7 @@
 /// and splits the two phases into `assembly_s` / `spgemm_s` counters
 /// (average seconds per iteration). `edges_per_sec` (= items/s) is the
 /// pipeline rate and `allocs_per_row` tracks heap traffic per adjacency
-/// row.
+/// row. `BM_Generate_RMAT` times the R-MAT input generation alone.
 
 #define I2A_BENCH_COUNT_ALLOCS
 #include "bench_common.hpp"
@@ -18,6 +18,7 @@
 #include "algebra/pairs.hpp"
 #include "graph/incidence.hpp"
 #include "sparse/spgemm.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -157,6 +158,31 @@ void BM_Construct_EndToEnd(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Construct_EndToEnd)->DenseRange(8, 14, 2);
+
+// Input generation alone: the R-MAT edge source every BM_Construct_RMAT
+// point and the end-to-end benchmark's set-up draw from. Edge factor 8,
+// on a pool of 1 (no workers: the generator's serial path) or 4 threads;
+// each iteration allocates and fills a fresh edge vector, as a caller
+// does.
+void BM_Generate_RMAT(benchmark::State& state) {
+  const int scale = static_cast<int>(state.range(0));
+  util::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+  index_t edges = 0;
+  for (auto _ : state) {
+    auto g = bench::rmat_graph(scale, 8, 7, &pool);
+    edges = g.num_edges();
+    benchmark::DoNotOptimize(g.edges().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * edges);
+  state.counters["edges_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(edges),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Generate_RMAT)
+    ->ArgNames({"scale", "threads"})
+    ->ArgsProduct({{12, 16}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
