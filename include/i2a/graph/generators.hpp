@@ -18,7 +18,9 @@
 /// them with one prefix sum.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -86,32 +88,68 @@ void fill_edges_blocked(std::vector<Edge>& edges, index_t m,
       });
 }
 
+/// The integer cut-off K(t) = ceil(t * 2^53), clamped to [0, 2^53] and 0
+/// when t * 2^53 is NaN: for every k in [0, 2^53), k < K(t) holds exactly
+/// when k * 2^-53 < t. Exact because t * 2^53 is a power-of-two scaling
+/// (it rounds only on overflow to +inf, which the clamp absorbs), a
+/// non-negative integer k is below a real x exactly when it is below
+/// ceil(x), and ceil of a double below 2^53 converts to uint64 exactly.
+inline std::uint64_t unit_cutoff(double t) {
+  constexpr double kScale = 0x1.0p53;
+  const double x = t * kScale;
+  if (!(x > 0.0)) return 0;  // NaN or <= 0: no k is below it
+  if (x >= kScale) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(x));
+}
+
 }  // namespace detail
 
 /// R-MAT recursive-quadrant generator: n = 2^scale vertices,
 /// n * edge_factor edges, quadrant probabilities (a, b, c, 1-a-b-c).
 /// Duplicates and self-loops are kept — it generates a multigraph.
+/// Throws std::invalid_argument unless 0 <= scale <= 62 and
+/// edge_factor >= 0.
+///
+/// The walk is branch-free and exact. Each level draws k = next() >> 11
+/// and picks the quadrant the chain
+///   r < a: none; else r < a + b: dst; else r < a + b + c: src; else both
+/// picks on r = unit() = k * 2^-53 (the chain is the test oracle,
+/// tests/rmat_reference.hpp):
+/// - r < t holds exactly when k < K(t) (see unit_cutoff), so the chain
+///   runs on the integer cut-offs K(a), K(a + b), K(a + b + c);
+/// - a test is reached only by a k at or above every earlier cut-off, so
+///   replacing each cut-off by the maximum of it and the earlier ones
+///   (k1 <= k2 <= k3) changes no outcome, for any a, b, c — non-monotone
+///   sums and NaN included;
+/// - on non-decreasing cut-offs the chain's quadrant is
+///   q = [k >= k1] + [k >= k2] + [k >= k3]: src is q >= 2, i.e. k >= k2,
+///   and dst is q odd.
+/// So the edge list is the chain's, byte for byte, at any pool size.
 inline Graph rmat(int scale, index_t edge_factor, double a, double b, double c,
                   std::uint64_t seed, util::ThreadPool* pool = nullptr) {
+  if (scale < 0 || scale > 62) {
+    throw std::invalid_argument("rmat: scale must be in [0, 62]");
+  }
+  if (edge_factor < 0) {
+    throw std::invalid_argument("rmat: edge_factor must be >= 0");
+  }
   const index_t n = index_t{1} << scale;
   const index_t m = checked_mul(n, edge_factor);
+  const std::uint64_t k1 = detail::unit_cutoff(a);
+  const std::uint64_t k2 = std::max(k1, detail::unit_cutoff(a + b));
+  const std::uint64_t k3 = std::max(k2, detail::unit_cutoff(a + b + c));
   Graph g(n);
   detail::fill_edges_blocked(
       g.edges(), m, seed, pool, [&](util::Xoshiro256& rng, index_t) {
         index_t src = 0;
         index_t dst = 0;
         for (index_t bit = n >> 1; bit > 0; bit >>= 1) {
-          const double r = rng.unit();
-          if (r < a) {
-            // top-left: neither bit set
-          } else if (r < a + b) {
-            dst |= bit;
-          } else if (r < a + b + c) {
-            src |= bit;
-          } else {
-            src |= bit;
-            dst |= bit;
-          }
+          const std::uint64_t k = rng.next() >> 11;
+          const bool ge1 = k >= k1;
+          const bool ge2 = k >= k2;
+          const bool ge3 = k >= k3;
+          src |= bit & -static_cast<index_t>(ge2);
+          dst |= bit & -static_cast<index_t>(ge1 ^ ge2 ^ ge3);
         }
         return Edge{src, dst, 1.0};
       });

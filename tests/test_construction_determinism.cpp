@@ -5,9 +5,15 @@
 ///        produce byte-identical results under pool sizes {1, 2, 8}
 ///        and serially — the construction-side counterpart of
 ///        test_spgemm_determinism. Full-precision real values throughout,
-///        so any chunking-dependent reorder would flip bits.
+///        so any chunking-dependent reorder would flip bits. `gen::rmat`
+///        is also held byte for byte to the branching walk it replaced
+///        (rmat_reference.hpp), and its argument checks are tested.
 
+#include <climits>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "algebra/pairs.hpp"
@@ -17,6 +23,7 @@
 #include "sparse/csr.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
+#include "rmat_reference.hpp"
 #include "test_util.hpp"
 
 using namespace i2a;
@@ -114,6 +121,120 @@ void test_generators_pool_size_invariance() {
   }
 }
 
+struct Quadrants {
+  double a, b, c;
+};
+
+/// R-MAT quadrant probabilities for the oracle grid: the Graph500 and
+/// uniform splits, a zero and a subnormal quadrant, a non-monotone sum
+/// (c < 0) and a NaN.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr Quadrants kQuadrants[] = {
+    {0.57, 0.19, 0.19},  {0.25, 0.25, 0.25}, {1.0 / 3, 1.0 / 3, 1.0 / 3},
+    {1.0, 0.0, 0.0},     {1e-300, 0.3, 0.3}, {0.6, 0.3, -0.2},
+    {0.5, kNaN, 0.2}};
+
+/// Random draws land next to a fixed cut-off with probability ~2^-52, so
+/// the grid above cannot tell a cut-off that is off by one from a right
+/// one. These probabilities put a, a + b or a + b + c (the other two
+/// terms 0) exactly at, one ulp below and one ulp above k0 * 2^-53,
+/// where k0 = next() >> 11 is the first draw of the seed's block-0
+/// stream — the draw of edge 0's top level — so every such slip flips
+/// that level's quadrant.
+std::vector<Quadrants> drawn_boundary_quadrants(std::uint64_t seed) {
+  auto rng = graph::gen::stream_for_block(seed, 0);
+  const double t0 = static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
+  std::vector<Quadrants> out;
+  for (const double t :
+       {std::nextafter(t0, 0.0), t0, std::nextafter(t0, 1.0)}) {
+    out.push_back({t, 0.0, 0.0});
+    out.push_back({0.0, t, 0.0});
+    out.push_back({0.0, 0.0, t});
+  }
+  return out;
+}
+
+/// K(t) is the number of draws k in [0, 2^53) with k * 2^-53 < t: every
+/// k below it passes and none at or above it does. Checked at the
+/// cut-off's two neighbours, so it pins K(t) exactly, including at the
+/// clamps (t <= 0, NaN, t >= 1), whose neighbours no random draw reaches.
+bool cutoff_is_exact(double t) {
+  const std::uint64_t cut = graph::gen::detail::unit_cutoff(t);
+  const auto unit = [](std::uint64_t k) {
+    return static_cast<double>(k) * 0x1.0p-53;
+  };
+  constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+  return cut <= kDraws && (cut == 0 || unit(cut - 1) < t) &&
+         (cut == kDraws || !(unit(cut) < t));
+}
+
+void test_unit_cutoff_clamps() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double t : {-kInf, -1.0, -0.0, 0.0,
+                         std::numeric_limits<double>::denorm_min(), 0.5,
+                         std::nextafter(1.0, 0.0), 1.0, 2.0, kInf, kNaN}) {
+    CHECK(cutoff_is_exact(t));
+  }
+}
+
+/// `gen::rmat`'s cut-off walk against the branching walk, byte for byte,
+/// over scales, edge factors (partial and several 4096-edge blocks
+/// included), seeds, quadrant probabilities and pool sizes.
+void test_rmat_matches_reference_walk() {
+  util::ThreadPool pool2(2), pool8(8);
+  util::ThreadPool* pools[] = {nullptr, &pool2, &pool8};
+  // Seed 2's first draw is >= 2^52, seeds 1 and 4's are below it, so
+  // one ulp above k0 * 2^-53 is k0 + 1 for the first and between k0 and
+  // k0 + 1 for the others (a floor in place of the ceiling would show).
+  for (const std::uint64_t seed : {1u, 2u, 4u}) {
+    std::vector<Quadrants> quadrants(std::begin(kQuadrants),
+                                     std::end(kQuadrants));
+    for (const auto& q : drawn_boundary_quadrants(seed)) quadrants.push_back(q);
+    for (const auto& q : quadrants) {
+      CHECK(cutoff_is_exact(q.a));
+      CHECK(cutoff_is_exact(q.a + q.b));
+      CHECK(cutoff_is_exact(q.a + q.b + q.c));
+    }
+    for (const int scale : {0, 1, 5, 9}) {
+      for (const index_t edge_factor : {0, 1, 3, 17}) {
+        for (const auto& q : quadrants) {
+          const auto want = i2a::test::rmat_reference(scale, edge_factor, q.a,
+                                                      q.b, q.c, seed);
+          CHECK_EQ(want.num_edges(), (index_t{1} << scale) * edge_factor);
+          for (util::ThreadPool* pool : pools) {
+            CHECK(same_edges(graph::gen::rmat(scale, edge_factor, q.a, q.b,
+                                              q.c, seed, pool),
+                             want));
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Scale outside [0, 62] (a shift past index_t's width, or a negative
+/// vertex count at 63) and a negative edge factor (a huge resize) are
+/// rejected before anything is allocated.
+void test_rmat_rejects_bad_arguments() {
+  const auto rejects = [](int scale, index_t edge_factor) {
+    try {
+      (void)graph::gen::rmat(scale, edge_factor, 0.57, 0.19, 0.19, 1);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  for (const int scale : {INT_MIN, -1, 63, 64, INT_MAX}) {
+    CHECK(rejects(scale, 1));
+  }
+  CHECK(rejects(5, -1));
+  CHECK(rejects(5, std::numeric_limits<index_t>::min()));
+  CHECK(!rejects(0, 0));
+  CHECK(!rejects(62, 0));
+  CHECK_EQ(graph::gen::rmat(62, 0, 0.57, 0.19, 0.19, 1).num_vertices(),
+           index_t{1} << 62);
+}
+
 void test_incidence_and_end_to_end_pool_size_invariance() {
   util::ThreadPool pool1(1), pool2(2), pool8(8);
   const auto g = graph::gen::rmat(10, 8, 0.57, 0.19, 0.19, 48);
@@ -146,6 +267,9 @@ int main() {
   test_from_coo_pool_size_invariance();
   test_transpose_pool_size_invariance();
   test_generators_pool_size_invariance();
+  test_unit_cutoff_clamps();
+  test_rmat_matches_reference_walk();
+  test_rmat_rejects_bad_arguments();
   test_incidence_and_end_to_end_pool_size_invariance();
   return TEST_MAIN_RESULT();
 }
