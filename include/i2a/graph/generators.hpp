@@ -15,7 +15,9 @@
 /// generators (R-MAT, multigraph, bipartite) size the edge buffer
 /// exactly once up front and write slots directly; Erdős–Rényi, whose
 /// per-block yield is random, stages per-chunk edge slabs and stitches
-/// them with one prefix sum.
+/// them with one prefix sum. R-MAT's per-level quadrant choice is
+/// branch-free, on integer cut-offs that reproduce the floating-point
+/// comparisons exactly (see `rmat`).
 
 #include <algorithm>
 #include <cmath>

@@ -125,9 +125,9 @@ struct Quadrants {
   double a, b, c;
 };
 
-/// R-MAT quadrant probabilities for the oracle grid: the Graph500 and
-/// uniform splits, a zero and a subnormal quadrant, a non-monotone sum
-/// (c < 0) and a NaN.
+/// R-MAT quadrant probabilities for the oracle grid: the Graph500,
+/// uniform and thirds splits, empty quadrants, a 1e-300 quadrant (cut-off
+/// 1), a non-monotone sum (c < 0) and a NaN.
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr Quadrants kQuadrants[] = {
     {0.57, 0.19, 0.19},  {0.25, 0.25, 0.25}, {1.0 / 3, 1.0 / 3, 1.0 / 3},
