@@ -2,35 +2,27 @@
 /// \file sparse/csr.hpp
 /// \brief Compressed sparse row matrix, the workhorse storage for
 ///        incidence and adjacency arrays, plus sort-free COO→CSR assembly
-///        with explicit duplicate policies and a parallel counting-sort
+///        with two duplicate policies and a parallel counting-sort
 ///        `transpose`.
 ///
-/// Assembly engine (PR 3). `from_coo` no longer comparison-sorts the
-/// entry list. It is a two-pass engine, the shape sparse/merge.hpp shares:
+/// `from_coo` never comparison-sorts the entry list. It runs serially in
+/// three passes:
 ///
-///   1. **count** — entry chunks build per-chunk row histograms;
-///   2. **stitch** — one serial sweep turns the histograms into the
-///      row-grouped staging pointer and per-chunk write cursors such
-///      that chunk c's entries for a row land after every earlier
-///      chunk's (the stable-scatter invariant);
-///   3. **scatter** — each chunk walks its slice in push order and
-///      writes entries straight into their row group. A row's staged
-///      entries therefore sit in *global push order* regardless of how
-///      the list was chunked, so the final bytes are independent of
-///      pool size (serial included);
-///   4. **order + fold** — per row, a stable sort by column in
-///      chunk-local scratch followed by `DupPolicy` folding, compacted
-///      in place. Stability keeps push order within a (row, col) group,
-///      which is what gives `kKeepFirst`/`kKeepLast` their meaning; the
-///      fold visits duplicates in push order, so even FP `kSum` matches
-///      the reference bit for bit. Rows already strictly increasing
-///      (the common duplicate-free ordered case) cost one scan and skip
-///      both the sort and the fold.
+///   1. **count** — a row histogram, turned into the staging row
+///      pointer by one prefix sum;
+///   2. **scatter** — every entry, in push order, goes to its row
+///      group, so a row's staged entries sit in push order;
+///   3. **order + fold** — per row, a stable sort by column followed by
+///      `DupPolicy` folding, compacted leftwards in place. Stability
+///      keeps push order within a (row, col) group, which is what gives
+///      `kKeepFirst`/`kKeepLast` their meaning; the fold visits duplicates in push
+///      order, so even FP `kSum` matches the reference bit for bit.
+///      Rows already strictly increasing (the common duplicate-free
+///      ordered case) cost one scan and skip both the sort and the fold.
 ///
-/// Everything is O(nnz + nrows) — no O(nnz log nnz) comparison sort
-/// anywhere — and a duplicate-free input returns the staging arrays
-/// without a final compaction copy. The old stable-sort path survives as
-/// the differential tests' oracle (tests/csr_reference.hpp).
+/// Everything is O(nnz + nrows), and a duplicate-free input returns the
+/// staging arrays as they are. The stable-sort path it replaced is the
+/// differential tests' oracle (tests/csr_reference.hpp).
 
 #include <algorithm>
 #include <cassert>
@@ -62,9 +54,10 @@ enum class DupPolicy {
 
 namespace detail {
 
-/// Shared fork/join driver: serial when no multi-thread pool is given,
-/// chunked otherwise, with per-chunk scratch stable across passes (the
-/// decomposition is a pure function of (n, pool->size())).
+/// Shared fork/join driver of `transpose` and the SpGEMM engine: serial
+/// when no multi-thread pool is given, chunked otherwise, with per-chunk
+/// scratch stable across passes (the decomposition is a pure function of
+/// (n, pool->size())).
 template <typename Body>
 void run_chunked(util::ThreadPool* pool, bool parallel, index_t n,
                  const Body& body) {
@@ -146,143 +139,74 @@ class Csr {
     assert(cols_.size() == vals_.size());
   }
 
-  /// Group + order + deduplicate + compress a COO buffer via the
-  /// sort-free count/stitch/scatter/fold engine (file comment above).
-  /// Column indices within each row come out strictly increasing, and
-  /// the output is byte-identical for every pool size, serial included.
-  static Csr from_coo(Coo<T> coo, DupPolicy policy = DupPolicy::kSum,
-                      util::ThreadPool* pool = nullptr) {
+  /// Group + order + deduplicate + compress a COO buffer (file comment
+  /// above). Column indices within each row come out strictly
+  /// increasing.
+  static Csr from_coo(Coo<T> coo, DupPolicy policy = DupPolicy::kSum) {
     const auto& e = coo.entries();
     const index_t nrows = coo.nrows();
-    const index_t nnz = static_cast<index_t>(e.size());
+    const auto nnz = e.size();
+
+    // Pass 1 (count): row sizes, shifted by one for the prefix sum.
     std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
-    if (nnz == 0) {
-      return Csr(nrows, coo.ncols(), std::move(row_ptr), {}, {});
+    for (const auto& en : e) {
+      assert(en.row >= 0 && en.row < nrows && en.col >= 0 &&
+             en.col < coo.ncols());
+      ++row_ptr[static_cast<std::size_t>(en.row) + 1];
     }
-    const bool parallel = pool != nullptr && pool->size() > 1;
-    // Chunking passes 1–2 costs an nrows-sized histogram per chunk plus
-    // an O(nrows * nchunks) stitch, which only pays when entries
-    // dominate rows — for a hypersparse tall buffer (nnz << nrows) the
-    // histograms would dwarf the scatter they organize, so those passes
-    // run single-chunk there (pass 3 chunks over rows either way). The
-    // staged layout is chunking-invariant, so the policy never changes
-    // the bytes.
-    const bool scatter_parallel = parallel && nnz >= nrows;
-    const index_t echunks = scatter_parallel ? pool->num_chunks(nnz) : 1;
-
-    // Pass 1 (count): per-chunk row histograms over the entry slices.
-    std::vector<std::vector<index_t>> hist(
-        static_cast<std::size_t>(echunks));
-    detail::run_chunked(
-        pool, scatter_parallel, nnz,
-        [&](index_t chunk, index_t lo, index_t hi) {
-          auto& h = hist[static_cast<std::size_t>(chunk)];
-          h.assign(static_cast<std::size_t>(nrows), 0);
-          for (index_t i = lo; i < hi; ++i) {
-            const auto& en = e[static_cast<std::size_t>(i)];
-            assert(en.row >= 0 && en.row < nrows && en.col >= 0 &&
-                   en.col < coo.ncols());
-            ++h[static_cast<std::size_t>(en.row)];
-          }
-        });
-
-    // Stitch: histograms → staging row pointer + per-chunk cursors.
-    detail::stitch_bucket_cursors(hist, row_ptr, nrows);
-
-    // Pass 2 (stable scatter): push order within each row is preserved
-    // globally (chunk cursors start after every earlier chunk's share).
-    std::vector<index_t> cols(static_cast<std::size_t>(nnz));
-    std::vector<T> vals(static_cast<std::size_t>(nnz));
-    detail::run_chunked(
-        pool, scatter_parallel, nnz,
-        [&](index_t chunk, index_t lo, index_t hi) {
-          auto& cur = hist[static_cast<std::size_t>(chunk)];
-          for (index_t i = lo; i < hi; ++i) {
-            const auto& en = e[static_cast<std::size_t>(i)];
-            const auto slot = static_cast<std::size_t>(
-                cur[static_cast<std::size_t>(en.row)]++);
-            cols[slot] = en.col;
-            vals[slot] = en.val;
-          }
-        });
-
-    // Pass 3 (order + fold): per-row stable sort by column in
-    // chunk-local scratch, DupPolicy folding compacted in place.
-    // Already-strictly-increasing rows skip both.
-    const index_t rchunks = parallel ? pool->num_chunks(nrows) : 1;
-    std::vector<std::vector<std::pair<index_t, T>>> scratch(
-        static_cast<std::size_t>(rchunks));
-    std::vector<index_t> out_nnz(static_cast<std::size_t>(nrows), 0);
-    detail::run_chunked(
-        pool, parallel, nrows, [&](index_t chunk, index_t lo, index_t hi) {
-          auto& buf = scratch[static_cast<std::size_t>(chunk)];
-          for (index_t r = lo; r < hi; ++r) {
-            const auto b = static_cast<std::size_t>(
-                row_ptr[static_cast<std::size_t>(r)]);
-            const auto len = static_cast<std::size_t>(
-                row_ptr[static_cast<std::size_t>(r) + 1] -
-                row_ptr[static_cast<std::size_t>(r)]);
-            bool sorted_unique = true;
-            for (std::size_t k = 1; k < len; ++k) {
-              if (cols[b + k - 1] >= cols[b + k]) {
-                sorted_unique = false;
-                break;
-              }
-            }
-            if (sorted_unique) {
-              out_nnz[static_cast<std::size_t>(r)] =
-                  static_cast<index_t>(len);
-              continue;
-            }
-            buf.clear();
-            for (std::size_t k = 0; k < len; ++k) {
-              buf.emplace_back(cols[b + k], vals[b + k]);
-            }
-            std::stable_sort(
-                buf.begin(), buf.end(),
-                [](const auto& x, const auto& y) { return x.first < y.first; });
-            out_nnz[static_cast<std::size_t>(r)] = detail::fold_sorted_run(
-                buf, policy, cols.data() + b, vals.data() + b);
-          }
-        });
-
-    // Stitch 2 + compaction. A duplicate-free input is already laid out
-    // exactly right — hand the staging arrays straight out.
-    index_t total = 0;
-    for (index_t r = 0; r < nrows; ++r) {
-      total += out_nnz[static_cast<std::size_t>(r)];
+    for (std::size_t r = 0; r < static_cast<std::size_t>(nrows); ++r) {
+      row_ptr[r + 1] += row_ptr[r];
     }
-    if (total == nnz) {
-      Csr out(nrows, coo.ncols(), std::move(row_ptr), std::move(cols),
-              std::move(vals));
-      I2A_ENSURES(out.is_canonical(), "from_coo: non-canonical CSR");
-      return out;
+
+    // Pass 2 (stable scatter): each row's entries in push order.
+    std::vector<index_t> next(row_ptr.begin(), row_ptr.end() - 1);
+    std::vector<index_t> cols(nnz);
+    std::vector<T> vals(nnz);
+    for (const auto& en : e) {
+      const auto slot = static_cast<std::size_t>(
+          next[static_cast<std::size_t>(en.row)]++);
+      cols[slot] = en.col;
+      vals[slot] = en.val;
     }
-    std::vector<index_t> fptr(static_cast<std::size_t>(nrows) + 1, 0);
-    for (index_t r = 0; r < nrows; ++r) {
-      fptr[static_cast<std::size_t>(r) + 1] =
-          fptr[static_cast<std::size_t>(r)] +
-          out_nnz[static_cast<std::size_t>(r)];
+
+    // Pass 3 (order + fold): per row, a stable sort by column and the
+    // DupPolicy fold, written left-compacted at `w` (never past the
+    // row's own staged entries). Strictly increasing rows skip both.
+    std::vector<std::pair<index_t, T>> buf;
+    std::size_t w = 0;
+    for (std::size_t r = 0; r < static_cast<std::size_t>(nrows); ++r) {
+      const auto b = static_cast<std::size_t>(row_ptr[r]);
+      const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
+      row_ptr[r] = static_cast<index_t>(w);
+      bool sorted_unique = true;
+      for (std::size_t k = b + 1; k < end && sorted_unique; ++k) {
+        sorted_unique = cols[k - 1] < cols[k];
+      }
+      if (sorted_unique) {
+        if (w != b) {
+          std::copy(cols.begin() + b, cols.begin() + end, cols.begin() + w);
+          std::copy(vals.begin() + b, vals.begin() + end, vals.begin() + w);
+        }
+        w += end - b;
+        continue;
+      }
+      buf.clear();
+      for (std::size_t k = b; k < end; ++k) buf.emplace_back(cols[k], vals[k]);
+      std::stable_sort(
+          buf.begin(), buf.end(),
+          [](const auto& x, const auto& y) { return x.first < y.first; });
+      w += static_cast<std::size_t>(detail::fold_sorted_run(
+          buf, policy, cols.data() + w, vals.data() + w));
     }
-    std::vector<index_t> fcols(static_cast<std::size_t>(total));
-    std::vector<T> fvals(static_cast<std::size_t>(total));
-    detail::run_chunked(
-        pool, parallel, nrows, [&](index_t, index_t lo, index_t hi) {
-          for (index_t r = lo; r < hi; ++r) {
-            const auto src = static_cast<std::size_t>(
-                row_ptr[static_cast<std::size_t>(r)]);
-            const auto dst = static_cast<std::size_t>(
-                fptr[static_cast<std::size_t>(r)]);
-            const auto cnt = static_cast<std::size_t>(
-                out_nnz[static_cast<std::size_t>(r)]);
-            std::copy(cols.begin() + src, cols.begin() + src + cnt,
-                      fcols.begin() + dst);
-            std::copy(vals.begin() + src, vals.begin() + src + cnt,
-                      fvals.begin() + dst);
-          }
-        });
-    Csr out(nrows, coo.ncols(), std::move(fptr), std::move(fcols),
-            std::move(fvals));
+    row_ptr[static_cast<std::size_t>(nrows)] = static_cast<index_t>(w);
+    if (w != nnz) {
+      cols.resize(w);
+      cols.shrink_to_fit();
+      vals.resize(w);
+      vals.shrink_to_fit();
+    }
+    Csr out(nrows, coo.ncols(), std::move(row_ptr), std::move(cols),
+            std::move(vals));
     I2A_ENSURES(out.is_canonical(), "from_coo: non-canonical CSR");
     return out;
   }

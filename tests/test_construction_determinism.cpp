@@ -1,9 +1,8 @@
 /// \file test_construction_determinism.cpp
 /// \brief The construction pipeline must be bit-deterministic end to end:
-///        `Csr::from_coo`, `transpose`, the direct incidence assembly,
-///        the block-stream generators, and `build_adjacency` all
-///        produce byte-identical results under pool sizes {1, 2, 8}
-///        and serially — the construction-side counterpart of
+///        `transpose`, the direct incidence assembly, the block-stream
+///        generators, and `build_adjacency` all produce byte-identical
+///        results under pool sizes {1, 2, 8} and serially — the construction-side counterpart of
 ///        test_spgemm_determinism. Full-precision real values throughout,
 ///        so any chunking-dependent reorder would flip bits. `gen::rmat`
 ///        is also held byte for byte to the branching walk it replaced
@@ -60,25 +59,6 @@ sparse::Coo<double> dup_heavy_coo(index_t nr, index_t nc, int nnz,
              rng.uniform(-9.9, 9.9));
   }
   return coo;
-}
-
-constexpr sparse::DupPolicy kPolicies[] = {
-    sparse::DupPolicy::kSum, sparse::DupPolicy::kKeepFirst,
-    sparse::DupPolicy::kKeepLast, sparse::DupPolicy::kMax,
-    sparse::DupPolicy::kMin};
-
-void test_from_coo_pool_size_invariance() {
-  util::ThreadPool pool1(1), pool2(2), pool8(8);
-  for (const auto policy : kPolicies) {
-    const auto serial =
-        sparse::Csr<double>::from_coo(dup_heavy_coo(97, 41, 2300, 7), policy);
-    for (util::ThreadPool* pool : {&pool1, &pool2, &pool8}) {
-      CHECK(identical(
-          sparse::Csr<double>::from_coo(dup_heavy_coo(97, 41, 2300, 7),
-                                        policy, pool),
-          serial));
-    }
-  }
 }
 
 void test_transpose_pool_size_invariance() {
@@ -264,7 +244,6 @@ void test_incidence_and_end_to_end_pool_size_invariance() {
 }  // namespace
 
 int main() {
-  test_from_coo_pool_size_invariance();
   test_transpose_pool_size_invariance();
   test_generators_pool_size_invariance();
   test_unit_cutoff_clamps();

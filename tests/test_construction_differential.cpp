@@ -3,10 +3,10 @@
 ///        the stable-sort reference: `Csr::from_coo` vs
 ///        `csr_from_coo_reference` (csr_reference.hpp) across every
 ///        `DupPolicy`, on inputs with heavy duplicates, shuffled order,
-///        empty rows, and empty matrices — serial and under pools {1, 4},
-///        compared bitwise (both fold a (row, col) group's duplicates in
-///        push order, so even FP kSum must agree bit for bit). The direct incidence
-///        assembly is likewise pinned to the old COO + reference path.
+///        empty rows, and empty matrices, compared bitwise (both fold a
+///        (row, col) group's duplicates in push order, so even FP kSum
+///        must agree bit for bit). The direct incidence assembly is
+///        likewise pinned to the old COO + reference path.
 
 #include <cstdint>
 #include <utility>
@@ -36,19 +36,14 @@ constexpr sparse::DupPolicy kPolicies[] = {
     sparse::DupPolicy::kKeepLast, sparse::DupPolicy::kMax,
     sparse::DupPolicy::kMin};
 
-/// Check new engine == reference for one COO recipe, across every policy
-/// and pool size (reference is serial-only by design). `make` builds a
-/// fresh buffer per call because assembly consumes it.
+/// Check the engine == reference for one COO recipe, across every
+/// policy. `make` builds a fresh buffer per call because assembly
+/// consumes it.
 template <typename MakeCoo>
 void check_against_reference(const MakeCoo& make) {
-  util::ThreadPool pool1(1), pool4(4);
   for (const auto policy : kPolicies) {
     const auto ref = i2a::test::csr_from_coo_reference(make(), policy);
     CHECK(identical(sparse::Csr<double>::from_coo(make(), policy), ref));
-    CHECK(identical(sparse::Csr<double>::from_coo(make(), policy, &pool1),
-                    ref));
-    CHECK(identical(sparse::Csr<double>::from_coo(make(), policy, &pool4),
-                    ref));
     CHECK(ref.is_canonical());
   }
 }
