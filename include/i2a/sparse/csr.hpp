@@ -15,7 +15,7 @@
 ///   3. **order + fold** — per row, a stable sort by column followed by
 ///      `DupPolicy` folding, compacted leftwards in place. Stability
 ///      keeps push order within a (row, col) group, which is what gives
-///      `kKeepFirst`/`kKeepLast` their meaning; the fold visits duplicates in push
+///      `kKeepFirst` its meaning; the fold visits duplicates in push
 ///      order, so even FP `kSum` matches the reference bit for bit.
 ///      Rows already strictly increasing (the common duplicate-free
 ///      ordered case) cost one scan and skip both the sort and the fold.
@@ -41,15 +41,11 @@ namespace i2a::sparse {
 
 /// What `from_coo` does when several pushed entries share one (row, col).
 ///
-/// Incidence assembly mostly wants `kKeepFirst` (an edge endpoint has one
-/// value); numeric accumulation wants `kSum`; the lattice semirings want
-/// `kMax`/`kMin`.
+/// Incidence assembly and the keyed arrays' products want `kKeepFirst`
+/// (an entry has one value); numeric accumulation wants `kSum`.
 enum class DupPolicy {
   kSum,        ///< combine duplicates with `+`
   kKeepFirst,  ///< first pushed entry wins
-  kKeepLast,   ///< last pushed entry wins
-  kMax,        ///< elementwise max
-  kMin,        ///< elementwise min
 };
 
 namespace detail {
@@ -105,13 +101,7 @@ index_t fold_sorted_run(const std::vector<std::pair<index_t, T>>& run,
     T acc = run[i].second;
     std::size_t j = i + 1;
     for (; j < run.size() && run[j].first == c; ++j) {
-      switch (policy) {
-        case DupPolicy::kSum: acc = acc + run[j].second; break;
-        case DupPolicy::kKeepFirst: break;
-        case DupPolicy::kKeepLast: acc = run[j].second; break;
-        case DupPolicy::kMax: acc = std::max(acc, run[j].second); break;
-        case DupPolicy::kMin: acc = std::min(acc, run[j].second); break;
-      }
+      if (policy == DupPolicy::kSum) acc = acc + run[j].second;
     }
     cols[static_cast<std::size_t>(w)] = c;
     vals[static_cast<std::size_t>(w)] = acc;

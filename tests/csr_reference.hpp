@@ -23,7 +23,7 @@ sparse::Csr<T> csr_from_coo_reference(
   using sparse::DupPolicy;
   auto& e = coo.entries();
   // Stable sort keeps push order within a (row, col) group, which is
-  // what gives kKeepFirst / kKeepLast their meaning.
+  // what gives kKeepFirst its meaning.
   std::stable_sort(e.begin(), e.end(), [](const auto& a, const auto& b) {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });
@@ -39,13 +39,7 @@ sparse::Csr<T> csr_from_coo_reference(
     T acc = e[i].val;
     std::size_t j = i + 1;
     for (; j < e.size() && e[j].row == r && e[j].col == c; ++j) {
-      switch (policy) {
-        case DupPolicy::kSum: acc = acc + e[j].val; break;
-        case DupPolicy::kKeepFirst: break;
-        case DupPolicy::kKeepLast: acc = e[j].val; break;
-        case DupPolicy::kMax: acc = std::max(acc, e[j].val); break;
-        case DupPolicy::kMin: acc = std::min(acc, e[j].val); break;
-      }
+      if (policy == DupPolicy::kSum) acc = acc + e[j].val;
     }
     cols.push_back(c);
     vals.push_back(acc);

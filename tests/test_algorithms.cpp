@@ -153,7 +153,7 @@ void test_sssp_negative_cycle() {
   coo.push(2, 1, 1.0);
   coo.push(1, 4, inf);  // explicit zero element: 4 stays unreachable
   const auto c = sparse::Csr<double>::from_coo(std::move(coo),
-                                               sparse::DupPolicy::kMin);
+                                               sparse::DupPolicy::kKeepFirst);
   const auto f = graph::sssp_bellman_ford(c, 0);
   CHECK(f.has_negative_cycle);
   CHECK_EQ(f.dist[1], -inf);

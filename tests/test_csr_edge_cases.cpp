@@ -52,10 +52,7 @@ void test_dup_policies() {
     return coo;
   };
   const std::pair<sparse::DupPolicy, double> expect[] = {
-      {sparse::DupPolicy::kSum, 6.0},      {sparse::DupPolicy::kKeepFirst, 3.0},
-      {sparse::DupPolicy::kKeepLast, 2.0}, {sparse::DupPolicy::kMax, 3.0},
-      {sparse::DupPolicy::kMin, 1.0},
-  };
+      {sparse::DupPolicy::kSum, 6.0}, {sparse::DupPolicy::kKeepFirst, 3.0}};
   for (const auto& [policy, want] : expect) {
     const auto csr = sparse::Csr<double>::from_coo(make(), policy);
     CHECK_EQ(csr.nnz(), 2);
