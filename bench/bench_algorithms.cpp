@@ -1,11 +1,11 @@
 /// \file bench_algorithms.cpp
 /// \brief PERF5: downstream algorithm suite on constructed adjacency
 ///        arrays — the consumers that justify building A in the first
-///        place — plus the masked-SpGEMM ablation.
+///        place.
 ///
-/// Includes the masked vs unmasked triangle ablation (the masked kernel
-/// avoids materializing A·A), semiring closures (APSP / reachability), and
-/// BFS/PageRank end-to-end on R-MAT inputs.
+/// Masked triangle counting (A·A is never materialized), semiring
+/// closures (APSP / reachability), and BFS/PageRank end-to-end on R-MAT
+/// inputs.
 
 #include <benchmark/benchmark.h>
 
@@ -33,19 +33,10 @@ sparse::Csr<double> symmetric_rmat_adjacency(int scale, index_t ef) {
   return graph::build_adjacency(sym, algebra::MaxTimes<double>{});
 }
 
-void BM_Triangles_Unmasked(benchmark::State& state) {
-  const auto a = symmetric_rmat_adjacency(static_cast<int>(state.range(0)), 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::count_triangles(a));
-  }
-  state.counters["nnz"] = static_cast<double>(a.nnz());
-}
-BENCHMARK(BM_Triangles_Unmasked)->DenseRange(8, 12, 2);
-
 void BM_Triangles_Masked(benchmark::State& state) {
   const auto a = symmetric_rmat_adjacency(static_cast<int>(state.range(0)), 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::count_triangles_masked(a));
+    benchmark::DoNotOptimize(graph::count_triangles(a));
   }
   state.counters["nnz"] = static_cast<double>(a.nnz());
 }

@@ -1,21 +1,16 @@
 #pragma once
 /// \file graph/algorithms/triangles.hpp
-/// \brief Triangle counting on a symmetric adjacency array: the unmasked
-///        variant materializes A·A and masks afterwards; the masked
-///        variant fuses the mask into the row products (never building
-///        A·A) — the ablation pair from bench_algorithms.
+/// \brief Triangle counting on a symmetric adjacency array, with the
+///        mask fused into the row products: A·A is never built.
 ///
-/// Both counters read every row repeatedly, so they take a `Csr`.
+/// The counter reads every row repeatedly, so it takes a `Csr`.
 /// Against a live builder, pass `snap.materialize()` and
 /// `snap.pair().zero()` (which entries are not edges).
 
-#include <algorithm>
 #include <cstdint>
 
-#include "algebra/pairs.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/spgemm.hpp"
 
 namespace i2a::graph {
 
@@ -43,12 +38,11 @@ std::uint64_t row_intersection_size(const sparse::Csr<T>& a, index_t u,
   return count;
 }
 
-/// Rebuild A's nonzero pattern with all values set to 1 so A·A counts
-/// paths; entries equal to the zero element are not edges
-/// (Definition I.5), so they are dropped here. Diagonal entries are
-/// dropped too: a self-loop is not a triangle edge, but if kept it would
-/// contribute spurious closed 2-walks through c.at(i,i) and inflate
-/// |N(i) ∩ N(j)| whenever i ∈ N(j) — both counters would overcount.
+/// Rebuild A's nonzero pattern with all values set to 1; entries equal
+/// to the zero element are not edges (Definition I.5), so they are
+/// dropped here. Diagonal entries are dropped too: a self-loop is not a
+/// triangle edge, but if kept it would inflate |N(i) ∩ N(j)| whenever
+/// i ∈ N(j) and the count would overcount.
 template <typename T>
 sparse::Csr<double> pattern_of(const sparse::Csr<T>& a, T zero) {
   sparse::Coo<double> coo(a.nrows(), a.ncols());
@@ -65,27 +59,12 @@ sparse::Csr<double> pattern_of(const sparse::Csr<T>& a, T zero) {
 
 }  // namespace detail
 
-/// Unmasked: C = A·A over +.* is materialized in full, then summed only
-/// where A has an edge. Each triangle is counted 6 times on the
-/// symmetric pattern (self-loops are normalized away by `pattern_of`).
+/// For each edge (i, j), accumulate |N(i) ∩ N(j)| directly — the A·A
+/// intermediate never exists (the O(nnz) pattern rebuild normalizes
+/// explicit zero-element entries and self-loops away). Each triangle is
+/// counted 6 times on the symmetric pattern.
 template <typename T>
 std::uint64_t count_triangles(const sparse::Csr<T>& a, T zero = T{}) {
-  const auto pat = detail::pattern_of(a, zero);
-  const auto c = sparse::spgemm(algebra::PlusTimes<double>{}, pat, pat);
-  double total = 0.0;
-  for (index_t i = 0; i < pat.nrows(); ++i) {
-    for (const index_t j : pat.row_cols(i)) {
-      total += c.at(i, j, 0.0);
-    }
-  }
-  return static_cast<std::uint64_t>(total) / 6;
-}
-
-/// Masked: for each edge (i, j), accumulate |N(i) ∩ N(j)| directly —
-/// the A·A intermediate never exists (the O(nnz) pattern rebuild
-/// normalizes explicit zero-element entries and self-loops away).
-template <typename T>
-std::uint64_t count_triangles_masked(const sparse::Csr<T>& a, T zero = T{}) {
   const auto pat = detail::pattern_of(a, zero);
   std::uint64_t total = 0;
   for (index_t i = 0; i < pat.nrows(); ++i) {
