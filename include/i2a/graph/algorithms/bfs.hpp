@@ -3,6 +3,8 @@
 /// \brief Level-synchronous BFS over a constructed adjacency array's
 ///        nonzero pattern — against a materialized CSR, or directly
 ///        against a live builder's pinned snapshot (no copy, no locks).
+///        One traversal loop serves both; each overload supplies only
+///        the visitor that walks a row's edges.
 
 #include <stdexcept>
 #include <vector>
@@ -13,13 +15,15 @@
 
 namespace i2a::graph {
 
-/// BFS levels from `src`: level[src] = 0, unreachable vertices = -1.
-/// An entry counts as an edge when its value differs from `zero`.
-/// Throws `std::out_of_range` for an out-of-range source (indexing
-/// level[src] unchecked was UB).
-template <typename T>
-std::vector<index_t> bfs_levels(const sparse::Csr<T>& a, index_t src, T zero) {
-  const index_t n = a.nrows();
+namespace detail {
+
+/// BFS levels from `src` over n vertices: level[src] = 0, unreachable
+/// vertices = -1. `for_each_edge(u, visit)` calls `visit(v)` for every
+/// edge u → v. Throws `std::out_of_range` for an out-of-range source
+/// (indexing level[src] unchecked was UB).
+template <typename ForEachEdge>
+std::vector<index_t> bfs_loop(index_t n, index_t src,
+                              const ForEachEdge& for_each_edge) {
   if (src < 0 || src >= n) {
     throw std::out_of_range("bfs_levels: source vertex out of range");
   }
@@ -31,20 +35,31 @@ std::vector<index_t> bfs_levels(const sparse::Csr<T>& a, index_t src, T zero) {
     ++depth;
     std::vector<index_t> next;
     for (const index_t u : frontier) {
-      const auto cs = a.row_cols(u);
-      const auto vs = a.row_vals(u);
-      for (std::size_t k = 0; k < cs.size(); ++k) {
-        if (vs[k] == zero) continue;
-        const index_t v = cs[k];
+      for_each_edge(u, [&](index_t v) {
         if (level[static_cast<std::size_t>(v)] == -1) {
           level[static_cast<std::size_t>(v)] = depth;
           next.push_back(v);
         }
-      }
+      });
     }
     frontier = std::move(next);
   }
   return level;
+}
+
+}  // namespace detail
+
+/// BFS levels from `src` (see `detail::bfs_loop`). An entry counts as an
+/// edge when its value differs from `zero`.
+template <typename T>
+std::vector<index_t> bfs_levels(const sparse::Csr<T>& a, index_t src, T zero) {
+  return detail::bfs_loop(a.nrows(), src, [&](index_t u, const auto& visit) {
+    const auto cs = a.row_cols(u);
+    const auto vs = a.row_vals(u);
+    for (std::size_t k = 0; k < cs.size(); ++k) {
+      if (!(vs[k] == zero)) visit(cs[k]);
+    }
+  });
 }
 
 /// BFS straight off a pinned snapshot: frontier rows are ⊕-folded across
@@ -59,31 +74,14 @@ template <typename P>
 std::vector<index_t> bfs_levels(const stream::PinnedSnapshot<P>& snap,
                                 index_t src) {
   using T = typename P::value_type;
-  const index_t n = snap.num_vertices();
-  if (src < 0 || src >= n) {
-    throw std::out_of_range("bfs_levels: source vertex out of range");
-  }
   const T zero = snap.pair().zero();
   auto scratch = snap.row_scratch();
-  std::vector<index_t> level(static_cast<std::size_t>(n), index_t{-1});
-  std::vector<index_t> frontier{src};
-  level[static_cast<std::size_t>(src)] = 0;
-  index_t depth = 0;
-  while (!frontier.empty()) {
-    ++depth;
-    std::vector<index_t> next;
-    for (const index_t u : frontier) {
-      snap.fold_row(u, scratch, [&](index_t v, const T& val) {
-        if (val == zero) return;
-        if (level[static_cast<std::size_t>(v)] == -1) {
-          level[static_cast<std::size_t>(v)] = depth;
-          next.push_back(v);
-        }
+  return detail::bfs_loop(
+      snap.num_vertices(), src, [&](index_t u, const auto& visit) {
+        snap.fold_row(u, scratch, [&](index_t v, const T& val) {
+          if (!(val == zero)) visit(v);
+        });
       });
-    }
-    frontier = std::move(next);
-  }
-  return level;
 }
 
 }  // namespace i2a::graph
