@@ -131,7 +131,9 @@ class Csr {
 
   /// Group + order + deduplicate + compress a COO buffer (file comment
   /// above). Column indices within each row come out strictly
-  /// increasing.
+  /// increasing. Throws `std::out_of_range`, in every build, for an entry
+  /// outside [0, nrows) × [0, ncols) — `Coo::entries()` and a Release
+  /// `push` let one in.
   static Csr from_coo(Coo<T> coo, DupPolicy policy = DupPolicy::kSum) {
     const auto& e = coo.entries();
     const index_t nrows = coo.nrows();
@@ -140,8 +142,10 @@ class Csr {
     // Pass 1 (count): row sizes, shifted by one for the prefix sum.
     std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
     for (const auto& en : e) {
-      assert(en.row >= 0 && en.row < nrows && en.col >= 0 &&
-             en.col < coo.ncols());
+      if (en.row < 0 || en.row >= nrows || en.col < 0 ||
+          en.col >= coo.ncols()) {
+        throw std::out_of_range("Csr::from_coo: entry outside the shape");
+      }
       ++row_ptr[static_cast<std::size_t>(en.row) + 1];
     }
     for (std::size_t r = 0; r < static_cast<std::size_t>(nrows); ++r) {

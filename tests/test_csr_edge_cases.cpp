@@ -1,8 +1,8 @@
 /// \file test_csr_edge_cases.cpp
 /// \brief CSR invariants the SpGEMM and merge kernels rely on:
-///        duplicate-policy handling in COO→CSR assembly, `transpose`
-///        round-trips, and `Csr::checked` rejecting out-of-order columns
-///        and other malformed storage.
+///        duplicate-policy handling and entry range checks in COO→CSR
+///        assembly, `transpose` round-trips, and `Csr::checked` rejecting
+///        out-of-order columns and other malformed storage.
 
 #include <cstdint>
 #include <stdexcept>
@@ -59,6 +59,25 @@ void test_dup_policies() {
     CHECK_EQ(csr.at(1, 2, 0.0), want);
     CHECK_EQ(csr.at(0, 0, 0.0), 7.0);
     CHECK(csr.is_canonical());
+  }
+}
+
+void test_from_coo_rejects_out_of_range_entries() {
+  // Entries written through entries() bypass push's assert; from_coo
+  // must refuse each of them in every build instead of writing out of
+  // bounds.
+  const std::pair<index_t, index_t> bad[] = {{-1, 0}, {3, 0}, {0, -1}, {0, 4}};
+  for (const auto& [r, c] : bad) {
+    sparse::Coo<double> coo(3, 4);
+    coo.push(1, 1, 1.0);
+    coo.entries().push_back({r, c, 2.0});
+    bool threw = false;
+    try {
+      (void)sparse::Csr<double>::from_coo(std::move(coo));
+    } catch (const std::out_of_range&) {
+      threw = true;
+    }
+    CHECK(threw);
   }
 }
 
@@ -128,6 +147,7 @@ void test_checked_rejects_malformed() {
 
 int main() {
   test_dup_policies();
+  test_from_coo_rejects_out_of_range_entries();
   test_transpose_round_trip();
   test_checked_accepts_canonical();
   test_checked_rejects_malformed();
