@@ -11,6 +11,7 @@
 #include <limits>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 
@@ -18,7 +19,9 @@ namespace i2a::graph {
 
 /// All-pairs shortest paths from a min.+ adjacency array. Dense
 /// Floyd–Warshall; absent entries are +inf, diagonal starts at 0.
+/// Throws `std::invalid_argument` for a non-square array.
 inline sparse::Dense<double> apsp(const sparse::Csr<double>& a) {
+  detail::require_square(a.nrows(), a.ncols(), "apsp");
   constexpr double inf = std::numeric_limits<double>::infinity();
   const index_t n = a.nrows();
   sparse::Dense<double> dist = sparse::to_dense(a, inf);
@@ -40,10 +43,12 @@ inline sparse::Dense<double> apsp(const sparse::Csr<double>& a) {
 
 /// Boolean transitive closure of the adjacency pattern (an entry is an
 /// edge when its value differs from `zero`). closure(i,j) = 1 iff a path
-/// i → j with at least one edge exists; Warshall's algorithm.
+/// i → j with at least one edge exists; Warshall's algorithm. Throws
+/// `std::invalid_argument` for a non-square array.
 template <typename T>
 sparse::Dense<std::uint8_t> transitive_closure(const sparse::Csr<T>& a,
                                                T zero) {
+  detail::require_square(a.nrows(), a.ncols(), "transitive_closure");
   const index_t n = a.nrows();
   sparse::Dense<std::uint8_t> reach(n, n, 0);
   for (index_t i = 0; i < n; ++i) {

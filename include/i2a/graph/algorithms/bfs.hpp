@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "algebra/concepts.hpp"
+#include "graph/graph.hpp"
 #include "sparse/csr.hpp"
 #include "stream/pinned_snapshot.hpp"
 
@@ -50,9 +51,11 @@ std::vector<index_t> bfs_loop(index_t n, index_t src,
 }  // namespace detail
 
 /// BFS levels from `src` (see `detail::bfs_loop`). An entry counts as an
-/// edge when its value differs from `zero`.
+/// edge when its value differs from `zero`. Throws
+/// `std::invalid_argument` for a non-square array.
 template <typename T>
 std::vector<index_t> bfs_levels(const sparse::Csr<T>& a, index_t src, T zero) {
+  detail::require_square(a.nrows(), a.ncols(), "bfs_levels");
   return detail::bfs_loop(a.nrows(), src, [&](index_t u, const auto& visit) {
     const auto cs = a.row_cols(u);
     const auto vs = a.row_vals(u);

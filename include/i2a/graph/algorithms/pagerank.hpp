@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "sparse/csr.hpp"
 
 namespace i2a::graph {
@@ -18,10 +19,12 @@ namespace i2a::graph {
 /// `max_iters` rounds, whichever first. An entry counts as an edge when
 /// its value differs from `zero` — the same Definition I.5 pattern rule
 /// the validators and BFS use, so an explicitly stored zero element
-/// neither adds out-degree nor receives rank mass.
+/// neither adds out-degree nor receives rank mass. Throws
+/// `std::invalid_argument` for a non-square array.
 template <typename T>
 std::vector<double> pagerank(const sparse::Csr<T>& a, double damping,
                              double tol, int max_iters, T zero = T{}) {
+  detail::require_square(a.nrows(), a.ncols(), "pagerank");
   const index_t n = a.nrows();
   const auto un = static_cast<std::size_t>(n);
   const double uniform = 1.0 / static_cast<double>(n);

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "sparse/csr.hpp"
 
 namespace i2a::graph {
@@ -28,10 +29,12 @@ struct SsspResult {
 
 /// Distances from `src` over a min.+ adjacency array: A(i,j) is the best
 /// single-edge cost i → j, +inf-absent elsewhere. Throws
+/// `std::invalid_argument` for a non-square array and
 /// `std::out_of_range` for an out-of-range source (indexing dist[src]
 /// unchecked was UB).
 inline SsspResult sssp_bellman_ford(const sparse::Csr<double>& a,
                                     index_t src) {
+  detail::require_square(a.nrows(), a.ncols(), "sssp_bellman_ford");
   constexpr double inf = std::numeric_limits<double>::infinity();
   const index_t n = a.nrows();
   if (src < 0 || src >= n) {

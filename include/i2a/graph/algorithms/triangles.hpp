@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "graph/graph.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
@@ -62,9 +63,11 @@ sparse::Csr<double> pattern_of(const sparse::Csr<T>& a, T zero) {
 /// For each edge (i, j), accumulate |N(i) ∩ N(j)| directly — the A·A
 /// intermediate never exists (the O(nnz) pattern rebuild normalizes
 /// explicit zero-element entries and self-loops away). Each triangle is
-/// counted 6 times on the symmetric pattern.
+/// counted 6 times on the symmetric pattern. Throws
+/// `std::invalid_argument` for a non-square array.
 template <typename T>
 std::uint64_t count_triangles(const sparse::Csr<T>& a, T zero = T{}) {
+  detail::require_square(a.nrows(), a.ncols(), "count_triangles");
   const auto pat = detail::pattern_of(a, zero);
   std::uint64_t total = 0;
   for (index_t i = 0; i < pat.nrows(); ++i) {

@@ -5,6 +5,8 @@
 ///        the paper's theorem is precisely about surviving them.
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/types.hpp"
@@ -47,5 +49,20 @@ class Graph {
   index_t num_vertices_;
   std::vector<Edge> edges_;
 };
+
+namespace detail {
+
+/// The graph algorithms size per-vertex arrays by an adjacency array's
+/// row count and index them with its column ids, so each entry point
+/// throws `std::invalid_argument` for a non-square array (an incidence
+/// array, say) instead of reading or writing out of bounds.
+inline void require_square(index_t nrows, index_t ncols, const char* who) {
+  if (nrows != ncols) {
+    throw std::invalid_argument(std::string(who) +
+                                ": adjacency array is not square");
+  }
+}
+
+}  // namespace detail
 
 }  // namespace i2a::graph

@@ -1,7 +1,8 @@
 /// \file test_algorithms.cpp
 /// \brief The downstream algorithm suite on small hand-checkable graphs:
 ///        BFS levels, Bellman–Ford vs APSP, transitive closure, PageRank
-///        sanity, and the triangle counter against an A·A oracle.
+///        sanity, the triangle counter against an A·A oracle, and the
+///        rejection of non-square arrays.
 
 #include <cmath>
 #include <cstdint>
@@ -300,6 +301,31 @@ void test_explicit_zero_entries_are_not_edges() {
   CHECK_EQ(graph::count_triangles(t), 0u);
 }
 
+void test_non_square_arrays_rejected() {
+  // An incidence-shaped array (rows ≠ columns) would have every
+  // algorithm index a per-vertex array with a column id past its end.
+  for (const auto& [nr, nc] : {std::pair<index_t, index_t>{3, 5}, {5, 3}}) {
+    sparse::Coo<double> coo(nr, nc);
+    coo.push(0, nc - 1, 1.0);
+    coo.push(nr - 1, 0, 1.0);
+    const auto a = sparse::Csr<double>::from_coo(std::move(coo));
+    const auto rejects = [](const auto& run) {
+      try {
+        run();
+      } catch (const std::invalid_argument&) {
+        return true;
+      }
+      return false;
+    };
+    CHECK(rejects([&] { (void)graph::bfs_levels(a, 0, 0.0); }));
+    CHECK(rejects([&] { (void)graph::sssp_bellman_ford(a, 0); }));
+    CHECK(rejects([&] { (void)graph::pagerank(a, 0.85, 1e-10, 100); }));
+    CHECK(rejects([&] { (void)graph::apsp(a); }));
+    CHECK(rejects([&] { (void)graph::transitive_closure(a, 0.0); }));
+    CHECK(rejects([&] { (void)graph::count_triangles(a); }));
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -312,5 +338,6 @@ int main() {
   test_sssp_negative_cycle();
   test_source_validation();
   test_explicit_zero_entries_are_not_edges();
+  test_non_square_arrays_rejected();
   return TEST_MAIN_RESULT();
 }
