@@ -3,7 +3,9 @@
 ///
 /// Fixed R-MAT workload, worker count swept 1..hardware. Reports
 /// edges/second so the speedup curve is directly readable from the
-/// items_per_second column.
+/// items_per_second column. The adjacency point passes kAuto, as every
+/// `adjacency_array` caller does, so it times the pooled per-edge fold;
+/// the square point times the engine's row-chunk Gustavson.
 
 #include <benchmark/benchmark.h>
 
@@ -26,8 +28,7 @@ void BM_Scaling_AdjacencyConstruction(benchmark::State& state) {
   const auto inc = graph::incidence_arrays(g, p);
   util::ThreadPool pool(threads);
   for (auto _ : state) {
-    auto a = graph::adjacency_array(p, inc, sparse::SpGemmAlgo::kGustavson,
-                                    &pool);
+    auto a = graph::adjacency_array(p, inc, sparse::SpGemmAlgo::kAuto, &pool);
     benchmark::DoNotOptimize(a);
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
