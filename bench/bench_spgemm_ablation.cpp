@@ -13,6 +13,7 @@
 #define I2A_BENCH_COUNT_ALLOCS
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -123,6 +124,8 @@ BENCHMARK(BM_SpGemm_DenseBaseline)->Arg(128)->Arg(256)->Arg(512);
 // Every incidence row holds exactly one entry, so kAuto runs the
 // per-edge fold, as every `adjacency_array` caller does; the point
 // refuses to time anything else. Items are edges, so items/s is edges/s.
+// `max_bucket_share` is the largest fold bucket's term count over m, with
+// the buckets `detail::plan_fold` lays out: a measure of source skew.
 void BM_SpGemm_IncidenceShape(benchmark::State& state) {
   const index_t edges = state.range(0);
   const int scale =
@@ -137,6 +140,17 @@ void BM_SpGemm_IncidenceShape(benchmark::State& state) {
     return;
   }
   const index_t vertices = inc.eout.ncols();
+  const auto plan =
+      sparse::detail::plan_fold(edges, vertices, inc.ein.ncols());
+  if (!plan) {
+    state.SkipWithError("fold keys do not fit in 63 bits");
+    return;
+  }
+  std::vector<index_t> bucket_terms(
+      static_cast<std::size_t>(plan->nbuckets), 0);
+  for (const index_t src : inc.eout.cols()) {
+    ++bucket_terms[static_cast<std::size_t>(src >> plan->shift)];
+  }
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const auto before = bench::alloc_count();
@@ -148,6 +162,10 @@ void BM_SpGemm_IncidenceShape(benchmark::State& state) {
   state.counters["allocs_per_row"] =
       static_cast<double>(allocs) / (static_cast<double>(state.iterations()) *
                                      static_cast<double>(vertices));
+  state.counters["max_bucket_share"] =
+      static_cast<double>(
+          *std::max_element(bucket_terms.begin(), bucket_terms.end())) /
+      static_cast<double>(edges);
 }
 BENCHMARK(BM_SpGemm_IncidenceShape)->RangeMultiplier(4)->Range(1024, 65536);
 
