@@ -35,14 +35,16 @@ std::vector<index_t> bfs_loop(index_t n, index_t src,
   while (!frontier.empty()) {
     ++depth;
     std::vector<index_t> next;
-    for (const index_t u : frontier) {
-      for_each_edge(u, [&](index_t v) {
-        if (level[static_cast<std::size_t>(v)] == -1) {
-          level[static_cast<std::size_t>(v)] = depth;
-          next.push_back(v);
-        }
-      });
-    }
+    // Value captures (here and for the overloads' `zero`): the visitor
+    // runs once per edge, and a captured reference would be reloaded
+    // after every push_back.
+    const auto visit = [lv = level.data(), depth, &next](index_t v) {
+      if (lv[v] == -1) {
+        lv[v] = depth;
+        next.push_back(v);
+      }
+    };
+    for (const index_t u : frontier) for_each_edge(u, visit);
     frontier = std::move(next);
   }
   return level;
@@ -56,7 +58,8 @@ std::vector<index_t> bfs_loop(index_t n, index_t src,
 template <typename T>
 std::vector<index_t> bfs_levels(const sparse::Csr<T>& a, index_t src, T zero) {
   detail::require_square(a.nrows(), a.ncols(), "bfs_levels");
-  return detail::bfs_loop(a.nrows(), src, [&](index_t u, const auto& visit) {
+  return detail::bfs_loop(a.nrows(), src, [&a, zero](index_t u,
+                                                   const auto& visit) {
     const auto cs = a.row_cols(u);
     const auto vs = a.row_vals(u);
     for (std::size_t k = 0; k < cs.size(); ++k) {
@@ -80,8 +83,9 @@ std::vector<index_t> bfs_levels(const stream::PinnedSnapshot<P>& snap,
   const T zero = snap.pair().zero();
   auto scratch = snap.row_scratch();
   return detail::bfs_loop(
-      snap.num_vertices(), src, [&](index_t u, const auto& visit) {
-        snap.fold_row(u, scratch, [&](index_t v, const T& val) {
+      snap.num_vertices(), src,
+      [&snap, &scratch, zero](index_t u, const auto& visit) {
+        snap.fold_row(u, scratch, [&visit, zero](index_t v, const T& val) {
           if (!(val == zero)) visit(v);
         });
       });
