@@ -2,10 +2,11 @@
 /// \brief The construction pipeline must be bit-deterministic end to end:
 ///        `transpose`, the direct incidence assembly, the block-stream
 ///        generators, and `build_adjacency` all produce byte-identical
-///        results under pool sizes {1, 2, 8} and serially — the construction-side counterpart of
-///        test_spgemm_determinism. Full-precision real values throughout,
-///        so any chunking-dependent reorder would flip bits. `gen::rmat`
-///        is also held byte for byte to the branching walk it replaced
+///        results under pool sizes {1, 2, 8} and serially — the
+///        construction-side counterpart of test_spgemm_determinism.
+///        Full-precision real values throughout, so any
+///        chunking-dependent reorder would flip bits. `gen::rmat` is also
+///        held byte for byte to the branching walk it replaced
 ///        (rmat_reference.hpp), and its argument checks are tested.
 
 #include <climits>
