@@ -5,27 +5,36 @@ Builds SUITE (a bench target: bench_stream, bench_serve, ...) twice in
 Release with -DI2A_BUILD_BENCHMARKS=ON: the base revision, extracted with
 `git archive` into .bench_build/ab-base/src and built in
 .bench_build/ab-base, and the working tree, built in .bench_build/ab-change.
-It then runs the two binaries alternately for R rounds (base first in even
-rounds, change first in odd ones), each run with
---benchmark_enable_random_interleaving=true, and prints one verdict per
-benchmark point for the change against the base: better, worse,
-unchanged or unresolved. The verdict is bench/e2e/run.py's
-`metric_verdict` over the per-round wall times (`real_time`, lower is
-better; one base and one change value per round form a pair), at the
-relative bound given by --bound.
+It then runs R rounds. Each round visits the points both binaries list
+(`--benchmark_list_tests`, narrowed by --filter) in an order shuffled
+per round from --seed, and runs each point on both sides, one process
+per point and side (`--benchmark_filter=^<escaped name>$`; base first
+in even rounds, change first in odd ones). A fresh process per point
+keeps one point's allocations from shaping the next one's: glibc's
+dynamic mmap and trim thresholds carry over between the points of one
+process, so a point's time would depend on which points ran before it.
+It prints one verdict per point for the change against the base:
+better, worse, unchanged or unresolved. The verdict is
+bench/e2e/run.py's `metric_verdict` over the per-round wall times
+(`real_time`, lower is better; one base and one change value per round
+form a pair), at the relative bound given by --bound. A point only one
+side lists is reported as `base only` or `change only`, unmeasured.
 
 Usage:
   bench_ab.py SUITE [--base REV] [--rounds R] [--bound B] [--filter REGEX]
+              [--seed S]
       Exits 1 when any point is worse or a run reports an error.
   bench_ab.py --self-test
       Runs the verdict path on canned base/change results (no build) and
       checks that it reports better, worse, unchanged and unresolved where
-      expected.
+      expected, and that the one-point filter selects exactly its point.
 """
 
 import argparse
 import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -106,16 +115,31 @@ def print_rows(rows, bound):
                   % (width, name, ma, mb, mb / ma, verdict))
 
 
-def run_once(binary, out, args):
-    cmd = [binary, "--benchmark_enable_random_interleaving=true",
+def point_filter(name):
+    """The --benchmark_filter regex that selects exactly the point `name`."""
+    return "^" + re.escape(name) + "$"
+
+
+def list_points(binary, runs_dir, pattern):
+    """The point names `binary` lists under the filter `pattern`."""
+    cmd = [binary, "--benchmark_list_tests=true",
+           "--benchmark_out=" + os.path.join(runs_dir, "list.json")]
+    if pattern:
+        cmd.append("--benchmark_filter=" + pattern)
+    out = subprocess.run(cmd, check=True, cwd=runs_dir,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return [line.strip() for line in out.splitlines() if line.strip()]
+
+
+def run_point(binary, out, name):
+    """One process that runs the point `name` alone; its result rows."""
+    cmd = [binary, "--benchmark_filter=" + point_filter(name),
            "--benchmark_out=" + out, "--benchmark_out_format=json"]
-    if args.filter:
-        cmd.append("--benchmark_filter=" + args.filter)
     # Run beside the output, so nothing a suite writes lands in the cwd.
     subprocess.run(cmd, check=True, cwd=os.path.dirname(out),
                    stdout=subprocess.DEVNULL)
     with open(out) as f:
-        return json.load(f)
+        return json.load(f)["benchmarks"]
 
 
 def cmd_ab(args):
@@ -128,16 +152,30 @@ def cmd_ab(args):
     runs_dir = os.path.join(BENCH_BUILD, "ab-runs")
     shutil.rmtree(runs_dir, ignore_errors=True)
     os.makedirs(runs_dir)
+    listed = {side: list_points(binary, runs_dir, args.filter)
+              for side, binary in binaries.items()}
+    points = [n for n in listed["change"] if n in listed["base"]]
+    # One shuffled order per round, the same for both sides.
+    rng = random.Random(args.seed)
     runs = {"base": [], "change": []}
     for r in range(args.rounds):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
+        shuffled = rng.sample(points, len(points))
+        results = {"base": [], "change": []}
+        for i, name in enumerate(shuffled):
+            for side in order:
+                out = os.path.join(runs_dir, "%s-%d-%d.json" % (side, r, i))
+                results[side] += run_point(binaries[side], out, name)
         for side in order:
-            out = os.path.join(runs_dir, "%s-%d.json" % (side, r))
-            runs[side].append(run_once(binaries[side], out, args))
+            runs[side].append({"benchmarks": results[side]})
         print("round %d/%d done" % (r + 1, args.rounds), file=sys.stderr)
     rows = verdicts(runs["base"], runs["change"], args.bound)
-    print("%s: base %s vs working tree, %d rounds"
-          % (args.suite, args.base, args.rounds))
+    rows += [(n, "base only", None, None)
+             for n in listed["base"] if n not in listed["change"]]
+    rows += [(n, "change only", None, None)
+             for n in listed["change"] if n not in listed["base"]]
+    print("%s: base %s vs working tree, %d rounds, seed %d"
+          % (args.suite, args.base, args.rounds, args.seed))
     print_rows(rows, args.bound)
     return 1 if any(v in ("worse", "error") for _, v, _, _ in rows) else 0
 
@@ -186,6 +224,19 @@ def cmd_self_test():
         if got.get(name) != want:
             failures += 1
             print("FAIL %s: expected %s, got %s" % (name, want, got.get(name)))
+    # Each point's filter selects that point and no other: names with
+    # '/' and ':' separators, prefixes of one another, and regex
+    # metacharacters that must match literally.
+    names = ["BM_Construct_FromCoo/65536", "BM_Construct_FromCoo/6553",
+             "BM_Construct_FromCoo/65536/8",
+             "BM_Generate_RMAT/scale:18/threads:4",
+             "BM_Generate_RMAT/scale:18/threads:1",
+             "BM_X/0.5", "BM_X/0x5", "BM_Y/a+b", "BM_Y/aab"]
+    for name in names:
+        chosen = [n for n in names if re.search(point_filter(name), n)]
+        if chosen != [name]:
+            failures += 1
+            print("FAIL filter %s selects %s" % (point_filter(name), chosen))
     print("self-test: %s" % ("FAILED" if failures else "ok"))
     return 1 if failures else 0
 
@@ -201,7 +252,10 @@ def main():
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--bound", type=float, default=0.05,
                         help="relative bound of the verdict (default 0.05)")
-    parser.add_argument("--filter", default=None)
+    parser.add_argument("--filter", default=None,
+                        help="regex of the points to run (default all)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the per-round point order (default 1)")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
