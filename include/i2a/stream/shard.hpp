@@ -48,23 +48,21 @@
 ///
 /// **Memory.** In background mode a run hands the pages of its large
 /// arrays back to the OS when its last reference drops
-/// (`detail::ReleasingDelete`, then the free). Merges run on pool workers, and the order in which runs
-/// are freed follows the race between the writer, the workers and the
-/// readers' pins. A C heap keeps freed pages resident and reuses them
-/// only where a new array fits. So without the release, whether a large
-/// merge output lands in freed memory or grows the heap depends on
+/// (`detail::ReleasingDelete`, then the free; the page calls live in
+/// util/pages.hpp). Merges run on pool workers, and the order in which
+/// runs are freed follows the race between the writer, the workers and
+/// the readers' pins. A C heap keeps freed pages resident and reuses
+/// them only where a new array fits. So without the release, whether a
+/// large merge output lands in freed memory or grows the heap depends on
 /// timing, and so does the resident set. Inline mode keeps plain runs:
 /// its merges run inside the ingest, so a released page that faults
-/// back in would be paid in the acknowledgement.
+/// back in would be paid in the acknowledgement. Merge outputs are not
+/// faulted in ahead (`util::populate_pages`): on the bench workloads
+/// that measured within the noise of the acknowledgement latency.
 ///
 /// Canonical-DCSR postconditions (`I2A_ENSURES`) hold for every run the
 /// ladder exposes — per-batch delta, inline merge, background merge or
 /// recovered checkpoint run.
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -89,6 +87,7 @@
 #include "stream/wal.hpp"
 #include "util/contract.hpp"
 #include "util/failpoint.hpp"
+#include "util/pages.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -174,32 +173,9 @@ inline std::size_t shard_index(index_t v, std::size_t shards) {
 
 namespace detail {
 
-/// Return the whole pages inside [p, p + bytes) to the OS before the
-/// buffer is freed (`madvise(MADV_DONTNEED)`): they stop counting as
-/// resident and fault back in as zero pages if the allocator reuses
-/// them. The partial pages at either end, where the allocator keeps its
-/// chunk headers and neighbouring objects may live, are left alone. A
-/// no-op off Linux.
-inline void release_pages(const void* p, std::size_t bytes) noexcept {
-#if defined(__linux__)
-  static const auto page =
-      static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
-  const auto begin = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t lo = (begin + page - 1) & ~(page - 1);
-  const std::uintptr_t hi = (begin + bytes) & ~(page - 1);
-  if (hi > lo) {
-    // Advisory: on failure the pages merely stay resident until freed.
-    (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
-  }
-#else
-  (void)p;
-  (void)bytes;
-#endif
-}
-
 /// Deleter of a background-mode run: releases the pages of each of its
-/// four arrays that spans at least `kMinBytes`, then frees them (file
-/// comment, "Memory"). The floor is glibc's default mmap threshold:
+/// four arrays that spans at least `kMinBytes` (`util::release_pages`),
+/// then frees them (file comment, "Memory"). The floor is glibc's default mmap threshold:
 /// arrays that large would get their own mapping, returned on free, if
 /// the threshold had not adapted upwards. Smaller ones are reused from
 /// the heap soon enough that releasing them would mostly add page
@@ -211,7 +187,7 @@ struct ReleasingDelete {
   void operator()(const M* m) const noexcept {
     const auto release = [](const auto& v) {
       const std::size_t bytes = v.capacity() * sizeof(v[0]);
-      if (bytes >= kMinBytes) release_pages(v.data(), bytes);
+      if (bytes >= kMinBytes) util::release_pages(v.data(), bytes);
     };
     release(m->row_ids());
     release(m->row_ptr());

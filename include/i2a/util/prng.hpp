@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "core/types.hpp"
 
@@ -71,10 +72,15 @@ class Xoshiro256 {
 /// Visit every index in [0, cells) independently with probability `p`,
 /// in increasing order, in O(expected hits) time via geometric gap
 /// skipping — the shared sampler behind Erdős–Rényi generation and
-/// random-matrix workload builders.
+/// random-matrix workload builders. Throws std::invalid_argument for a
+/// NaN `p`, which would pass both range tests and reach an undefined
+/// conversion of floor(NaN).
 template <typename Visit>
 void sample_bernoulli_indices(Xoshiro256& rng, index_t cells, double p,
                               Visit&& visit) {
+  if (std::isnan(p)) {
+    throw std::invalid_argument("sample_bernoulli_indices: p is NaN");
+  }
   if (cells <= 0 || p <= 0.0) return;
   if (p >= 1.0) {
     for (index_t t = 0; t < cells; ++t) visit(t);

@@ -50,6 +50,17 @@ bool same_edges(const graph::Graph& a, const graph::Graph& b) {
   return true;
 }
 
+/// Whether `call()` throws std::invalid_argument.
+template <typename F>
+bool throws_invalid_argument(const F& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
+}
+
 sparse::Coo<double> dup_heavy_coo(index_t nr, index_t nc, int nnz,
                                   std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
@@ -160,7 +171,10 @@ void test_unit_cutoff_clamps() {
 
 /// `gen::rmat`'s cut-off walk against the branching walk, byte for byte,
 /// over scales, edge factors (partial and several 4096-edge blocks
-/// included), seeds, quadrant probabilities and pool sizes.
+/// included), seeds, quadrant probabilities and pool sizes, and at one
+/// point whose 48 MiB edge buffer passes `gen::detail::kPopulateMinBytes`, so
+/// the pool faults its pages in (`util::populate_pages`) before they are
+/// written.
 void test_rmat_matches_reference_walk() {
   util::ThreadPool pool2(2), pool8(8);
   util::ThreadPool* pools[] = {nullptr, &pool2, &pool8};
@@ -191,11 +205,16 @@ void test_rmat_matches_reference_walk() {
       }
     }
   }
+  static_assert((std::size_t{1} << 18) * 8 * sizeof(graph::Edge) >=
+                graph::gen::detail::kPopulateMinBytes);
+  CHECK(same_edges(graph::gen::rmat(18, 8, 0.57, 0.19, 0.19, 3, &pool8),
+                   i2a::test::rmat_reference(18, 8, 0.57, 0.19, 0.19, 3)));
 }
 
 /// Scale outside [0, 62] (a shift past index_t's width, or a negative
 /// vertex count at 63) and a negative edge factor (a huge resize) are
-/// rejected before anything is allocated.
+/// rejected before anything is allocated, as are a negative edge count
+/// of `random_multigraph` and a negative degree of `random_bipartite`.
 void test_rmat_rejects_bad_arguments() {
   const auto rejects = [](int scale, index_t edge_factor) {
     try {
@@ -214,6 +233,33 @@ void test_rmat_rejects_bad_arguments() {
   CHECK(!rejects(62, 0));
   CHECK_EQ(graph::gen::rmat(62, 0, 0.57, 0.19, 0.19, 1).num_vertices(),
            index_t{1} << 62);
+
+  util::ThreadPool pool4(4);
+  for (const index_t bad : {std::numeric_limits<index_t>::min(), index_t{-1}}) {
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::random_multigraph(16, bad, 1, &pool4); }));
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::random_bipartite(8, 8, bad, 1, &pool4); }));
+  }
+  CHECK_EQ(graph::gen::random_multigraph(16, 0, 1).num_edges(), index_t{0});
+  CHECK_EQ(graph::gen::random_bipartite(8, 8, 0, 1).num_edges(), index_t{0});
+}
+
+/// A NaN probability passes both of the Bernoulli sampler's range tests
+/// (p <= 0, p >= 1), so it is rejected outright by the sampler and by
+/// `erdos_renyi`, the generator that reaches it.
+void test_bernoulli_rejects_nan_p() {
+  util::ThreadPool pool4(4);
+  CHECK(throws_invalid_argument(
+      [] { (void)graph::gen::erdos_renyi(10, kNaN, 1); }));
+  CHECK(throws_invalid_argument(
+      [&] { (void)graph::gen::erdos_renyi(10, kNaN, 1, &pool4); }));
+  CHECK(throws_invalid_argument([] {
+    util::Xoshiro256 rng(1);
+    util::sample_bernoulli_indices(rng, 100, kNaN, [](index_t) {});
+  }));
+  CHECK(!throws_invalid_argument(
+      [] { (void)graph::gen::erdos_renyi(10, 0.0, 1); }));
 }
 
 void test_incidence_and_end_to_end_pool_size_invariance() {
@@ -250,6 +296,7 @@ int main() {
   test_unit_cutoff_clamps();
   test_rmat_matches_reference_walk();
   test_rmat_rejects_bad_arguments();
+  test_bernoulli_rejects_nan_p();
   test_incidence_and_end_to_end_pool_size_invariance();
   return TEST_MAIN_RESULT();
 }

@@ -13,6 +13,8 @@
 /// so "byte-identical" is a meaningful bar, not a tolerance in disguise.
 
 #if defined(__linux__)
+#include <sys/mman.h>
+#include <sys/resource.h>
 #include <unistd.h>
 #endif
 
@@ -30,6 +32,7 @@
 #include "stream/adjacency_builder.hpp"
 #include "stream/shard.hpp"
 #include "stream/sharded_builder.hpp"
+#include "util/pages.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 #include "test_util.hpp"
@@ -298,7 +301,7 @@ void test_release_pages_bounds() {
   // inside and outside it.
   const std::size_t first = 24;
   const std::size_t len = 5 * kPage + 100;
-  stream::detail::release_pages(bytes + first, len);
+  util::release_pages(bytes + first, len);
 #if defined(__linux__)
   const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
   const auto begin = reinterpret_cast<std::uintptr_t>(bytes + first);
@@ -316,6 +319,60 @@ void test_release_pages_bounds() {
       CHECK_EQ(buf[i], 0x5a5a0000ULL + i);
     }
   }
+}
+
+/// `populate_pages` changes no byte, the partial pages at both ends of
+/// its range included, with no pool and with pools of 2 and 4 threads;
+/// null or empty input and a missing or one-thread pool are no-ops that
+/// return false. On Linux, once a call returns true, writing the range
+/// takes the writer (almost) no page faults.
+void test_populate_pages() {
+  constexpr std::size_t kPage = 4096;
+  std::vector<std::uint64_t> buf(8 * kPage / sizeof(std::uint64_t), 0);
+  auto* const bytes = reinterpret_cast<unsigned char*>(buf.data());
+  const std::size_t first = 24;  // partial end pages, as above
+  const std::size_t len = 5 * kPage + 100;
+  util::ThreadPool pool1(1), pool2(2), pool4(4);
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool2, &pool4}) {
+    for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = 0xa5a50000ULL + i;
+    (void)util::populate_pages(bytes + first, len, pool);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      CHECK_EQ(buf[i], 0xa5a50000ULL + i);
+    }
+  }
+  CHECK(!util::populate_pages(nullptr, 0, &pool4));
+  CHECK(!util::populate_pages(nullptr, len, &pool4));
+  CHECK(!util::populate_pages(bytes, 0, &pool4));
+  CHECK(!util::populate_pages(bytes + first, len, nullptr));
+  CHECK(!util::populate_pages(bytes + first, len, &pool1));
+  CHECK_EQ(util::whole_pages(nullptr, len).bytes, std::size_t{0});
+#if defined(__linux__)
+  // A fresh mapping: without the call, each page faults on first write.
+  const std::size_t map_bytes = 256 * util::page_bytes();
+  void* const map = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  CHECK(map != MAP_FAILED);
+  if (map == MAP_FAILED) return;
+  auto* const out = static_cast<unsigned char*>(map);
+  const bool populated = util::populate_pages(map, map_bytes, &pool4);
+  if (populated) {
+    rusage before{};
+    rusage after{};
+    ::getrusage(RUSAGE_THREAD, &before);
+    for (std::size_t i = 0; i < map_bytes; i += util::page_bytes()) {
+      out[i] = 1;
+    }
+    ::getrusage(RUSAGE_THREAD, &after);
+    CHECK(after.ru_minflt - before.ru_minflt <= 4);
+  }
+  // The population itself wrote nothing: only the loop's bytes are set.
+  for (std::size_t i = 0; i < map_bytes; ++i) {
+    const int want = populated && i % util::page_bytes() == 0 ? 1 : 0;
+    CHECK_EQ(static_cast<int>(out[i]), want);
+  }
+  ::munmap(map, map_bytes);
+#endif
 }
 
 /// Background-mode runs release their pages when their last reference
@@ -367,6 +424,7 @@ int main() {
   test_sharded_empty_batches_and_validation();
   test_owner_routed_fold_row();
   test_release_pages_bounds();
+  test_populate_pages();
   test_background_runs_release_pages();
   return TEST_MAIN_RESULT();
 }

@@ -47,6 +47,7 @@
 #include "util/contract.hpp"
 #include "util/failpoint.hpp"
 #include "util/io.hpp"
+#include "util/pages.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
