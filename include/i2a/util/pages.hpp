@@ -93,11 +93,9 @@ inline bool populate_pages(void* p, std::size_t bytes, ThreadPool* pool) {
   pool->parallel_for(npages, [&](index_t lo, index_t hi) {
     char* const at = span.begin + static_cast<std::size_t>(lo) * page;
     const std::size_t len = static_cast<std::size_t>(hi - lo) * page;
-    if (::madvise(at, len, MADV_POPULATE_WRITE) != 0) {
-      ok.store(false, std::memory_order_relaxed);
-    }
+    if (::madvise(at, len, MADV_POPULATE_WRITE) != 0) ok = false;
   });
-  return ok.load(std::memory_order_relaxed);
+  return ok;
 #else
   (void)p;
   (void)bytes;

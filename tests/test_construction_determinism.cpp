@@ -217,12 +217,9 @@ void test_rmat_matches_reference_walk() {
 /// of `random_multigraph` and a negative degree of `random_bipartite`.
 void test_rmat_rejects_bad_arguments() {
   const auto rejects = [](int scale, index_t edge_factor) {
-    try {
+    return throws_invalid_argument([&] {
       (void)graph::gen::rmat(scale, edge_factor, 0.57, 0.19, 0.19, 1);
-    } catch (const std::invalid_argument&) {
-      return true;
-    }
-    return false;
+    });
   };
   for (const int scale : {INT_MIN, -1, 63, 64, INT_MAX}) {
     CHECK(rejects(scale, 1));
@@ -247,17 +244,20 @@ void test_rmat_rejects_bad_arguments() {
 
 /// A NaN probability passes both of the Bernoulli sampler's range tests
 /// (p <= 0, p >= 1), so it is rejected outright by the sampler and by
-/// `erdos_renyi`, the generator that reaches it.
+/// `erdos_renyi`, the generator that reaches it — before either looks
+/// at its size (0 vertices, 0 cells).
 void test_bernoulli_rejects_nan_p() {
   util::ThreadPool pool4(4);
-  CHECK(throws_invalid_argument(
-      [] { (void)graph::gen::erdos_renyi(10, kNaN, 1); }));
-  CHECK(throws_invalid_argument(
-      [&] { (void)graph::gen::erdos_renyi(10, kNaN, 1, &pool4); }));
-  CHECK(throws_invalid_argument([] {
-    util::Xoshiro256 rng(1);
-    util::sample_bernoulli_indices(rng, 100, kNaN, [](index_t) {});
-  }));
+  for (const index_t n : {index_t{0}, index_t{10}}) {
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::erdos_renyi(n, kNaN, 1); }));
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::erdos_renyi(n, kNaN, 1, &pool4); }));
+    CHECK(throws_invalid_argument([&] {
+      util::Xoshiro256 rng(1);
+      util::sample_bernoulli_indices(rng, n * n, kNaN, [](index_t) {});
+    }));
+  }
   CHECK(!throws_invalid_argument(
       [] { (void)graph::gen::erdos_renyi(10, 0.0, 1); }));
 }
