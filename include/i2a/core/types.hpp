@@ -28,4 +28,14 @@ inline index_t checked_mul(index_t a, index_t b) {
   return out;
 }
 
+/// a + b, throwing std::overflow_error instead of invoking signed-overflow
+/// UB: the sum of two user-supplied dimensions.
+inline index_t checked_add(index_t a, index_t b) {
+  index_t out;
+  if (__builtin_add_overflow(a, b, &out)) {
+    throw std::overflow_error("index_t sum overflow: domain too large");
+  }
+  return out;
+}
+
 }  // namespace i2a

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -85,19 +86,16 @@ void for_each_block_stream(util::ThreadPool* pool, std::uint64_t seed,
 /// ~4% of an R-MAT scale 12 generation).
 inline constexpr std::size_t kPopulateMinBytes = std::size_t{32} << 20;
 
-/// Exact-count generator driver: size `edges` to `m` (>= 0) once, then
-/// fill slot e with `gen(rng, e)` where `rng` is edge e's block stream.
-/// A buffer of at least kPopulateMinBytes is reserved first and its
-/// pages are faulted in on the pool (`util::populate_pages`), so the
-/// value-initialization of `resize`, the one serial pass left, writes
-/// resident pages: at R-MAT scale 19, edge factor 16, its 192 MiB took
-/// 49,153 page faults on the calling thread. Without a pool of two or
-/// more threads, or where the kernel lacks the call, `resize` faults the
-/// pages in as before.
-template <typename PerEdge>
-void fill_edges_blocked(std::vector<Edge>& edges, index_t m,
-                        std::uint64_t seed, util::ThreadPool* pool,
-                        const PerEdge& gen) {
+/// Size `edges` to `m` (>= 0) once, for an exact-count generator to
+/// write every slot. A buffer of at least kPopulateMinBytes is reserved
+/// first and its pages are faulted in on the pool
+/// (`util::populate_pages`), so the value-initialization of `resize`, the
+/// one serial pass left, writes resident pages: at R-MAT scale 19, edge
+/// factor 16, its 192 MiB took 49,153 page faults on the calling thread.
+/// Without a pool of two or more threads, or where the kernel lacks the
+/// call, `resize` faults the pages in as before.
+inline void size_edges(std::vector<Edge>& edges, index_t m,
+                       util::ThreadPool* pool) {
   const auto count = static_cast<std::size_t>(m);
   if (const std::size_t bytes = count * sizeof(Edge);
       bytes >= kPopulateMinBytes) {
@@ -105,6 +103,15 @@ void fill_edges_blocked(std::vector<Edge>& edges, index_t m,
     (void)util::populate_pages(edges.data(), bytes, pool);
   }
   edges.resize(count);
+}
+
+/// Exact-count generator driver: size `edges` to `m` (>= 0), then fill
+/// slot e with `gen(rng, e)` where `rng` is edge e's block stream.
+template <typename PerEdge>
+void fill_edges_blocked(std::vector<Edge>& edges, index_t m,
+                        std::uint64_t seed, util::ThreadPool* pool,
+                        const PerEdge& gen) {
+  size_edges(edges, m, pool);
   for_each_block_stream(
       pool, seed, m, [&](util::Xoshiro256& rng, index_t lo, index_t hi) {
         for (index_t e = lo; e < hi; ++e) {
@@ -125,6 +132,160 @@ inline std::uint64_t unit_cutoff(double t) {
   if (!(x > 0.0)) return 0;  // NaN or <= 0: no k is below it
   if (x >= kScale) return std::uint64_t{1} << 53;
   return static_cast<std::uint64_t>(std::ceil(x));
+}
+
+/// What every block of one `rmat` walk shares.
+struct RmatWalk {
+  Edge* edges;
+  index_t m;         // edges in the whole walk
+  int levels;        // the scale: one draw per level
+  std::uint64_t k1;  // the cut-offs, k1 <= k2 <= k3 (see `rmat`)
+  std::uint64_t k2;
+  std::uint64_t k3;
+  std::uint64_t seed;
+};
+
+/// Walk the L = sizeof(W) / 8 consecutive blocks blk, ..., blk + L - 1
+/// of `w`, block blk + j in lane j of the word type W: std::uint64_t, or
+/// a vector of four. Each lane steps its own block's Xoshiro256** stream
+/// (`stream_for_block`) and writes its own block's edges, so a lane's
+/// bytes are the one-wide walk's. Edge i of every lane's block is drawn
+/// in one pass: per level, one Xoshiro step per lane, k = next() >> 11,
+/// and the level's quadrant bits shifted in most significant first,
+///   src = 2 src + [k >= k2],  dst = 2 dst + ([k >= k1] ^ [k >= k2] ^ [k >= k3])
+/// (the bit picks of `rmat`). The stream state and the cut-offs live in
+/// locals, which stay in registers: reached through the generator object
+/// or `w`, they were reloaded at every level, because a store to an
+/// edge's int64 fields may alias a uint64 word. Only the last block may
+/// be partial, and L > 1 walks whole blocks only. Nothing here passes or
+/// returns a W, so a vector W never crosses a call (gcc's -Wpsabi).
+template <typename W>
+[[gnu::always_inline]] inline void rmat_walk(const RmatWalk& w,
+                                             index_t blk) {
+  constexpr int kLanes = sizeof(W) / sizeof(std::uint64_t);
+  std::uint64_t words[4][kLanes] = {};
+  for (int j = 0; j < kLanes; ++j) {
+    const util::Xoshiro256 rng = stream_for_block(w.seed, blk + j);
+    for (int i = 0; i < 4; ++i) words[i][j] = rng.state()[i];
+  }
+  W s0{}, s1{}, s2{}, s3{};
+  std::memcpy(&s0, words[0], sizeof(W));
+  std::memcpy(&s1, words[1], sizeof(W));
+  std::memcpy(&s2, words[2], sizeof(W));
+  std::memcpy(&s3, words[3], sizeof(W));
+  const W k1 = W{} + w.k1;
+  const W k2 = W{} + w.k2;
+  const W k3 = W{} + w.k3;
+  const int levels = w.levels;
+  Edge* const out = w.edges + blk * kStreamBlock;
+  const index_t count = std::min(kStreamBlock, w.m - blk * kStreamBlock);
+  for (index_t e = 0; e < count; ++e) {
+    // The bits are shifted in complemented, onto all ones, so one
+    // complement per edge restores them and clears every bit above them.
+    W src = ~W{};
+    W dst = ~W{};
+    for (int level = levels; level > 0; --level) {
+      // Xoshiro256::next(), with x5 and x9 as shift-and-add: AVX2 has no
+      // 64-bit lane multiply.
+      const W x = (s1 << 2) + s1;
+      const W rot = (x << 7) | (x >> 57);
+      const W k = ((rot << 3) + rot) >> 11;
+      const W t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = (s3 << 45) | (s3 >> 19);
+      // k and every cut-off are at most 2^53, so k - c wraps past 2^63,
+      // setting the top bit, exactly when k < c: (k - c) >> 63 is the
+      // complement of [k >= c], and of three complements in dst's xor
+      // two cancel.
+      const W d2 = k - k2;
+      src = (src << 1) | (d2 >> 63);
+      dst = (dst << 1) | (((k - k1) ^ d2 ^ (k - k3)) >> 63);
+    }
+    src = ~src;
+    dst = ~dst;
+    std::uint64_t srcs[kLanes] = {};
+    std::uint64_t dsts[kLanes] = {};
+    std::memcpy(srcs, &src, sizeof(W));
+    std::memcpy(dsts, &dst, sizeof(W));
+    for (int j = 0; j < kLanes; ++j) {
+      out[j * kStreamBlock + e] = Edge{static_cast<index_t>(srcs[j]),
+                                       static_cast<index_t>(dsts[j]), 1.0};
+    }
+  }
+}
+
+/// Walk blocks [blk, end) one-wide. Out of line on purpose: inlined into
+/// a chunk body, gcc 12 -O3 ran short of registers and spilled the
+/// stream state to the stack at every level again.
+[[gnu::noinline]] inline void rmat_walk1(const RmatWalk& w, index_t blk,
+                                         index_t end) {
+  for (; blk < end; ++blk) rmat_walk<std::uint64_t>(w, blk);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+using U64x4 = std::uint64_t __attribute__((vector_size(32)));
+
+/// Walk the groups of four blocks in [blk, end) four-wide, one AVX2
+/// register per state word, and return the first block not walked (fewer
+/// than four are left). Compiled for AVX2 whatever the build targets;
+/// called only where the CPU has it. `flatten` inlines the template, so
+/// the vector code is all AVX2 and no vector crosses a call.
+[[gnu::target("avx2"), gnu::flatten]] inline index_t rmat_walk4(
+    const RmatWalk& w, index_t blk, index_t end) {
+  for (; end - blk >= 4; blk += 4) rmat_walk<U64x4>(w, blk);
+  return blk;
+}
+
+/// The widest walk this CPU runs: 4 with AVX2, else 1. Asked once per
+/// process.
+inline int rmat_max_lanes() {
+  static const int lanes = __builtin_cpu_supports("avx2") ? 4 : 1;
+  return lanes;
+}
+#else
+inline index_t rmat_walk4(const RmatWalk&, index_t blk, index_t) {
+  return blk;
+}
+inline int rmat_max_lanes() { return 1; }
+#endif
+
+/// `rmat` at walk width `lanes`, 1 or 4: at 4, and where the CPU has
+/// AVX2, each chunk's groups of four whole blocks are walked in lanes;
+/// every other block (the fewer than four left in a chunk, the final
+/// partial block, all of them without AVX2) is walked one-wide. The edge
+/// list is the same at either width. `rmat` runs the widest; the tests
+/// run both.
+inline Graph rmat_at_width(int lanes, int scale, index_t edge_factor,
+                           double a, double b, double c, std::uint64_t seed,
+                           util::ThreadPool* pool) {
+  if (scale < 0 || scale > 62) {
+    throw std::invalid_argument("rmat: scale must be in [0, 62]");
+  }
+  if (edge_factor < 0) {
+    throw std::invalid_argument("rmat: edge_factor must be >= 0");
+  }
+  const index_t n = index_t{1} << scale;
+  const index_t m = checked_mul(n, edge_factor);
+  const std::uint64_t k1 = unit_cutoff(a);
+  const std::uint64_t k2 = std::max(k1, unit_cutoff(a + b));
+  const std::uint64_t k3 = std::max(k2, unit_cutoff(a + b + c));
+  Graph g(n);
+  size_edges(g.edges(), m, pool);
+  const RmatWalk walk{g.edges().data(), m, scale, k1, k2, k3, seed};
+  const bool four_wide = lanes == 4 && rmat_max_lanes() == 4;
+  const index_t whole_blocks = m / kStreamBlock;
+  for_blocks(pool, (m + kStreamBlock - 1) / kStreamBlock,
+             [&](index_t blo, index_t bhi) {
+               const index_t rest =
+                   four_wide ? rmat_walk4(walk, blo, std::min(bhi, whole_blocks))
+                             : blo;
+               rmat_walk1(walk, rest, bhi);
+             });
+  return g;
 }
 
 }  // namespace detail
@@ -150,42 +311,25 @@ inline std::uint64_t unit_cutoff(double t) {
 ///   q = [k >= k1] + [k >= k2] + [k >= k3]: src is q >= 2, i.e. k >= k2,
 ///   and dst is q odd.
 /// So the edge list is the chain's, byte for byte, at any pool size.
+///
+/// Where the CPU has AVX2 (x86-64, gcc or clang), four consecutive
+/// blocks are walked at once, each block's stream in one lane of a
+/// 4 x 64-bit vector (`detail::rmat_walk`); lanes are blocks, not
+/// levels or edges, because a block's draws are one sequential stream.
+/// The width changes no byte.
 inline Graph rmat(int scale, index_t edge_factor, double a, double b, double c,
                   std::uint64_t seed, util::ThreadPool* pool = nullptr) {
-  if (scale < 0 || scale > 62) {
-    throw std::invalid_argument("rmat: scale must be in [0, 62]");
-  }
-  if (edge_factor < 0) {
-    throw std::invalid_argument("rmat: edge_factor must be >= 0");
-  }
-  const index_t n = index_t{1} << scale;
-  const index_t m = checked_mul(n, edge_factor);
-  const std::uint64_t k1 = detail::unit_cutoff(a);
-  const std::uint64_t k2 = std::max(k1, detail::unit_cutoff(a + b));
-  const std::uint64_t k3 = std::max(k2, detail::unit_cutoff(a + b + c));
-  Graph g(n);
-  detail::fill_edges_blocked(
-      g.edges(), m, seed, pool, [&](util::Xoshiro256& rng, index_t) {
-        index_t src = 0;
-        index_t dst = 0;
-        for (index_t bit = n >> 1; bit > 0; bit >>= 1) {
-          const std::uint64_t k = rng.next() >> 11;
-          const bool ge1 = k >= k1;
-          const bool ge2 = k >= k2;
-          const bool ge3 = k >= k3;
-          src |= bit & -static_cast<index_t>(ge2);
-          dst |= bit & -static_cast<index_t>(ge1 ^ ge2 ^ ge3);
-        }
-        return Edge{src, dst, 1.0};
-      });
-  return g;
+  return detail::rmat_at_width(4, scale, edge_factor, a, b, c, seed, pool);
 }
 
 /// Uniform multigraph: m independent uniform (src, dst) draws — parallel
 /// edges and self-loops occur naturally. The validation sweep's workload.
-/// Throws std::invalid_argument for m < 0.
+/// Throws std::invalid_argument for n < 0 or m < 0.
 inline Graph random_multigraph(index_t n, index_t m, std::uint64_t seed,
                                util::ThreadPool* pool = nullptr) {
+  if (n < 0) {
+    throw std::invalid_argument("random_multigraph: n must be >= 0");
+  }
   if (m < 0) {
     throw std::invalid_argument("random_multigraph: m must be >= 0");
   }
@@ -206,9 +350,12 @@ inline Graph random_multigraph(index_t n, index_t m, std::uint64_t seed,
 /// expected hits each — a pure function of (n, p), so the output stays
 /// a pure function of the seed at any pool size — and per-chunk edge
 /// slabs are stitched with one prefix sum, mirroring the SpGEMM engine.
-/// Throws std::invalid_argument for a NaN `p`.
+/// Throws std::invalid_argument for n < 0 or a NaN `p`.
 inline Graph erdos_renyi(index_t n, double p, std::uint64_t seed,
                          util::ThreadPool* pool = nullptr) {
+  if (n < 0) {
+    throw std::invalid_argument("erdos_renyi: n must be >= 0");
+  }
   if (std::isnan(p)) {
     throw std::invalid_argument("erdos_renyi: p must not be NaN");
   }
@@ -267,14 +414,18 @@ inline Graph erdos_renyi(index_t n, double p, std::uint64_t seed,
 
 /// Bipartite multigraph: vertices [0, nl) on the left, [nl, nl+nr) on the
 /// right, nl * deg uniform left→right edges. Throws
-/// std::invalid_argument for deg < 0.
+/// std::invalid_argument for nl < 0, nr < 0 or deg < 0, and
+/// std::overflow_error when nl + nr overflows.
 inline Graph random_bipartite(index_t nl, index_t nr, index_t deg,
                               std::uint64_t seed,
                               util::ThreadPool* pool = nullptr) {
+  if (nl < 0 || nr < 0) {
+    throw std::invalid_argument("random_bipartite: nl and nr must be >= 0");
+  }
   if (deg < 0) {
     throw std::invalid_argument("random_bipartite: deg must be >= 0");
   }
-  Graph g(nl + nr);
+  Graph g(checked_add(nl, nr));
   if (nl <= 0 || nr <= 0) return g;
   const index_t m = checked_mul(nl, deg);
   detail::fill_edges_blocked(

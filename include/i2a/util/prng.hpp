@@ -9,6 +9,7 @@
 /// than std::mt19937_64. Seeding goes through SplitMix64 so that small
 /// consecutive seeds (1, 2, 3, ...) still produce decorrelated streams.
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -61,12 +62,16 @@ class Xoshiro256 {
     return lo + static_cast<index_t>(next() % span);
   }
 
+  /// The four state words, read-only: `gen::rmat` copies a block
+  /// stream's state into its own registers and steps it there.
+  const std::array<std::uint64_t, 4>& state() const { return state_; }
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::uint64_t state_[4];
+  std::array<std::uint64_t, 4> state_;
 };
 
 /// Visit every index in [0, cells) independently with probability `p`,

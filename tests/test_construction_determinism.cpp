@@ -12,6 +12,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -130,11 +131,13 @@ constexpr Quadrants kQuadrants[] = {
 /// the grid above cannot tell a cut-off that is off by one from a right
 /// one. These probabilities put a, a + b or a + b + c (the other two
 /// terms 0) exactly at, one ulp below and one ulp above k0 * 2^-53,
-/// where k0 = next() >> 11 is the first draw of the seed's block-0
-/// stream — the draw of edge 0's top level — so every such slip flips
-/// that level's quadrant.
-std::vector<Quadrants> drawn_boundary_quadrants(std::uint64_t seed) {
-  auto rng = graph::gen::stream_for_block(seed, 0);
+/// where k0 = next() >> 11 is the first draw of the seed's stream for
+/// block `block` — the draw of that block's first edge's top level — so
+/// every such slip flips that level's quadrant. Blocks 0-3 are the four
+/// lanes of the first four-wide group.
+std::vector<Quadrants> drawn_boundary_quadrants(std::uint64_t seed,
+                                                index_t block) {
+  auto rng = graph::gen::stream_for_block(seed, block);
   const double t0 = static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
   std::vector<Quadrants> out;
   for (const double t :
@@ -170,51 +173,83 @@ void test_unit_cutoff_clamps() {
 }
 
 /// `gen::rmat`'s cut-off walk against the branching walk, byte for byte,
-/// over scales, edge factors (partial and several 4096-edge blocks
-/// included), seeds, quadrant probabilities and pool sizes, and at one
-/// point whose 48 MiB edge buffer passes `gen::detail::kPopulateMinBytes`, so
-/// the pool faults its pages in (`util::populate_pages`) before they are
-/// written.
+/// at both walk widths (four-wide only where the CPU has AVX2), over
+/// scales, edge factors, seeds, quadrant probabilities and pool sizes.
+/// Up to 3 blocks of 4096 edges, every block is walked one-wide. Scale
+/// 13 x 8 is 64 blocks: groups of four in lanes, and at pool 3 chunks of
+/// 22/22/20 blocks, so groups plus 2-block tails. Scale 11 x 9 is 4.5
+/// blocks: one group and a partial block. At scale 18 x 8 the 48 MiB
+/// edge buffer passes `gen::detail::kPopulateMinBytes`, so the pool
+/// faults its pages in (`util::populate_pages`) before they are written.
 void test_rmat_matches_reference_walk() {
-  util::ThreadPool pool2(2), pool8(8);
-  util::ThreadPool* pools[] = {nullptr, &pool2, &pool8};
+  util::ThreadPool pool2(2), pool3(3), pool8(8);
+  util::ThreadPool* pools[] = {nullptr, &pool2, &pool3, &pool8};
+  std::vector<int> widths{1};
+  if (graph::gen::detail::rmat_max_lanes() == 4) widths.push_back(4);
+  std::printf("rmat reference walk: widths %s\n",
+              widths.size() == 2 ? "1 and 4" : "1 only (no AVX2)");
+  const auto matches = [&](int scale, index_t edge_factor, const Quadrants& q,
+                           std::uint64_t seed, util::ThreadPool* pool,
+                           const graph::Graph& want) {
+    for (const int lanes : widths) {
+      CHECK(same_edges(graph::gen::detail::rmat_at_width(
+                           lanes, scale, edge_factor, q.a, q.b, q.c, seed,
+                           pool),
+                       want));
+    }
+  };
+  struct Size {
+    int scale;
+    index_t edge_factor;
+  };
+  std::vector<Size> sizes;
+  for (const int scale : {0, 1, 5, 9}) {
+    for (const index_t edge_factor : {0, 1, 3, 17}) {
+      sizes.push_back({scale, edge_factor});
+    }
+  }
+  sizes.push_back({13, 8});
+  sizes.push_back({11, 9});
   // Seed 2's first draw is >= 2^52, seeds 1 and 4's are below it, so
   // one ulp above k0 * 2^-53 is k0 + 1 for the first and between k0 and
   // k0 + 1 for the others (a floor in place of the ceiling would show).
   for (const std::uint64_t seed : {1u, 2u, 4u}) {
     std::vector<Quadrants> quadrants(std::begin(kQuadrants),
                                      std::end(kQuadrants));
-    for (const auto& q : drawn_boundary_quadrants(seed)) quadrants.push_back(q);
+    for (index_t block = 0; block < 4; ++block) {
+      for (const auto& q : drawn_boundary_quadrants(seed, block)) {
+        quadrants.push_back(q);
+      }
+    }
     for (const auto& q : quadrants) {
       CHECK(cutoff_is_exact(q.a));
       CHECK(cutoff_is_exact(q.a + q.b));
       CHECK(cutoff_is_exact(q.a + q.b + q.c));
     }
-    for (const int scale : {0, 1, 5, 9}) {
-      for (const index_t edge_factor : {0, 1, 3, 17}) {
-        for (const auto& q : quadrants) {
-          const auto want = i2a::test::rmat_reference(scale, edge_factor, q.a,
-                                                      q.b, q.c, seed);
-          CHECK_EQ(want.num_edges(), (index_t{1} << scale) * edge_factor);
-          for (util::ThreadPool* pool : pools) {
-            CHECK(same_edges(graph::gen::rmat(scale, edge_factor, q.a, q.b,
-                                              q.c, seed, pool),
-                             want));
-          }
+    for (const auto& [scale, edge_factor] : sizes) {
+      for (const auto& q : quadrants) {
+        const auto want = i2a::test::rmat_reference(scale, edge_factor, q.a,
+                                                    q.b, q.c, seed);
+        CHECK_EQ(want.num_edges(), (index_t{1} << scale) * edge_factor);
+        for (util::ThreadPool* pool : pools) {
+          matches(scale, edge_factor, q, seed, pool, want);
         }
       }
     }
   }
   static_assert((std::size_t{1} << 18) * 8 * sizeof(graph::Edge) >=
                 graph::gen::detail::kPopulateMinBytes);
-  CHECK(same_edges(graph::gen::rmat(18, 8, 0.57, 0.19, 0.19, 3, &pool8),
-                   i2a::test::rmat_reference(18, 8, 0.57, 0.19, 0.19, 3)));
+  const Quadrants graph500{0.57, 0.19, 0.19};
+  matches(18, 8, graph500, 3, &pool8,
+          i2a::test::rmat_reference(18, 8, 0.57, 0.19, 0.19, 3));
 }
 
 /// Scale outside [0, 62] (a shift past index_t's width, or a negative
 /// vertex count at 63) and a negative edge factor (a huge resize) are
 /// rejected before anything is allocated, as are a negative edge count
-/// of `random_multigraph` and a negative degree of `random_bipartite`.
+/// of `random_multigraph`, a negative degree of `random_bipartite`, a
+/// negative vertex count of the other three generators and a
+/// `random_bipartite` vertex count past index_t.
 void test_rmat_rejects_bad_arguments() {
   const auto rejects = [](int scale, index_t edge_factor) {
     return throws_invalid_argument([&] {
@@ -237,6 +272,25 @@ void test_rmat_rejects_bad_arguments() {
         [&] { (void)graph::gen::random_multigraph(16, bad, 1, &pool4); }));
     CHECK(throws_invalid_argument(
         [&] { (void)graph::gen::random_bipartite(8, 8, bad, 1, &pool4); }));
+  }
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool4}) {
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::random_multigraph(-5, 10, 1, pool); }));
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::random_bipartite(-3, 2, 4, 1, pool); }));
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::random_bipartite(2, -3, 4, 1, pool); }));
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::erdos_renyi(-4, 0.5, 1, pool); }));
+    bool overflowed = false;
+    try {
+      (void)graph::gen::random_bipartite(
+          std::numeric_limits<index_t>::max(), 1, 0, 1, pool);
+    } catch (const std::overflow_error&) {
+      overflowed = true;
+    }
+    CHECK(overflowed);
   }
   CHECK_EQ(graph::gen::random_multigraph(16, 0, 1).num_edges(), index_t{0});
   CHECK_EQ(graph::gen::random_bipartite(8, 8, 0, 1).num_edges(), index_t{0});
