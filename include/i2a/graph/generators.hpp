@@ -14,11 +14,12 @@
 /// to adjacency while keeping workloads reproducible. The exact-count
 /// generators (R-MAT, multigraph, bipartite) size the edge buffer
 /// exactly once up front (a large buffer's pages faulted in on the
-/// pool) and write slots directly (`detail::fill_edges_blocked`);
-/// Erdős–Rényi, whose per-block yield is random, stages per-chunk edge
-/// slabs and stitches them with one prefix sum. R-MAT's per-level
-/// quadrant choice is branch-free, on integer cut-offs that reproduce
-/// the floating-point comparisons exactly (see `rmat`).
+/// pool, `detail::size_edges`) and write slots directly; Erdős–Rényi,
+/// whose per-block yield is random, stages per-chunk edge slabs and
+/// stitches them with one prefix sum. R-MAT's per-level quadrant choice
+/// is branch-free, on integer cut-offs that reproduce the floating-point
+/// comparisons exactly, and where the CPU has AVX2 it walks four blocks'
+/// streams at once, one per 64-bit lane (see `rmat`).
 
 #include <algorithm>
 #include <cmath>
@@ -152,7 +153,8 @@ struct RmatWalk {
 /// bytes are the one-wide walk's. Edge i of every lane's block is drawn
 /// in one pass: per level, one Xoshiro step per lane, k = next() >> 11,
 /// and the level's quadrant bits shifted in most significant first,
-///   src = 2 src + [k >= k2],  dst = 2 dst + ([k >= k1] ^ [k >= k2] ^ [k >= k3])
+///   src = 2 src + [k >= k2],
+///   dst = 2 dst + ([k >= k1] ^ [k >= k2] ^ [k >= k3])
 /// (the bit picks of `rmat`). The stream state and the cut-offs live in
 /// locals, which stay in registers: reached through the generator object
 /// or `w`, they were reloaded at every level, because a store to an
@@ -280,9 +282,9 @@ inline Graph rmat_at_width(int lanes, int scale, index_t edge_factor,
   const index_t whole_blocks = m / kStreamBlock;
   for_blocks(pool, (m + kStreamBlock - 1) / kStreamBlock,
              [&](index_t blo, index_t bhi) {
+               const index_t end4 = std::min(bhi, whole_blocks);
                const index_t rest =
-                   four_wide ? rmat_walk4(walk, blo, std::min(bhi, whole_blocks))
-                             : blo;
+                   four_wide ? rmat_walk4(walk, blo, end4) : blo;
                rmat_walk1(walk, rest, bhi);
              });
   return g;
@@ -312,11 +314,13 @@ inline Graph rmat_at_width(int lanes, int scale, index_t edge_factor,
 ///   and dst is q odd.
 /// So the edge list is the chain's, byte for byte, at any pool size.
 ///
-/// Where the CPU has AVX2 (x86-64, gcc or clang), four consecutive
-/// blocks are walked at once, each block's stream in one lane of a
-/// 4 x 64-bit vector (`detail::rmat_walk`); lanes are blocks, not
-/// levels or edges, because a block's draws are one sequential stream.
-/// The width changes no byte.
+/// Where the CPU has AVX2 (x86-64, gcc or clang), each pool chunk walks
+/// its groups of four consecutive whole blocks at once, each block's
+/// stream in one lane of a 4 x 64-bit vector (`detail::rmat_walk`), and
+/// its other blocks one-wide. Lanes are blocks, not levels or edges,
+/// because a block's draws are one sequential stream. Each lane runs the
+/// one-wide walk on its own block's stream, so the width changes no
+/// byte.
 inline Graph rmat(int scale, index_t edge_factor, double a, double b, double c,
                   std::uint64_t seed, util::ThreadPool* pool = nullptr) {
   return detail::rmat_at_width(4, scale, edge_factor, a, b, c, seed, pool);
