@@ -155,10 +155,10 @@ struct RmatWalk {
 /// and the level's quadrant bits shifted in most significant first,
 ///   src = 2 src + [k >= k2],
 ///   dst = 2 dst + ([k >= k1] ^ [k >= k2] ^ [k >= k3])
-/// (the bit picks of `rmat`). The stream state and the cut-offs live in
-/// locals, which stay in registers: reached through the generator object
-/// or `w`, they were reloaded at every level, because a store to an
-/// edge's int64 fields may alias a uint64 word. Only the last block may
+/// (the bit picks of `rmat`). The stream state and the cut-offs are
+/// copied into locals, which stay in registers: a uint64 word reached
+/// through a pointer would be reloaded at every level, because a store
+/// to an edge's int64 fields may alias it. Only the last block may
 /// be partial, and L > 1 walks whole blocks only. Nothing here passes or
 /// returns a W, so a vector W never crosses a call (gcc's -Wpsabi).
 template <typename W>
@@ -221,8 +221,8 @@ template <typename W>
 }
 
 /// Walk blocks [blk, end) one-wide. Out of line on purpose: inlined into
-/// a chunk body, gcc 12 -O3 ran short of registers and spilled the
-/// stream state to the stack at every level again.
+/// a chunk body, gcc 12 -O3 runs short of registers and spills the
+/// stream state to the stack at every level.
 [[gnu::noinline]] inline void rmat_walk1(const RmatWalk& w, index_t blk,
                                          index_t end) {
   for (; blk < end; ++blk) rmat_walk<std::uint64_t>(w, blk);
