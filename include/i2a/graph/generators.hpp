@@ -156,9 +156,8 @@ struct RmatWalk {
 ///   src = 2 src + [k >= k2],
 ///   dst = 2 dst + ([k >= k1] ^ [k >= k2] ^ [k >= k3])
 /// (the bit picks of `rmat`). The stream state and the cut-offs are
-/// copied into locals, which stay in registers: a uint64 word reached
-/// through a pointer would be reloaded at every level, because a store
-/// to an edge's int64 fields may alias it. Only the last block may
+/// copied into locals, so the level loop touches no memory when they fit
+/// in registers (see `rmat_walk1`). Only the last block may
 /// be partial, and L > 1 walks whole blocks only. Nothing here passes or
 /// returns a W, so a vector W never crosses a call (gcc's -Wpsabi).
 template <typename W>
