@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <initializer_list>
 #include <span>
 #include <string>
 
@@ -30,8 +31,11 @@
 
 #include "algebra/pairs.hpp"
 #include "graph/incidence.hpp"
+#include "sparse/dcsr.hpp"
+#include "sparse/merge.hpp"
 #include "stream/adjacency_builder.hpp"
 #include "util/io.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -192,6 +196,75 @@ void BM_RebuildPerBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(g.edges().size()));
 }
 BENCHMARK(BM_RebuildPerBatch)->Arg(8)->Arg(32)->Arg(128);
+
+/// The +.× adjacency runs of consecutive slices of one R-MAT stream,
+/// slice k holding `weights[k]` batches of `batch_edges` edges. By
+/// Theorem II.1 each is the run the ladder holds for those batches.
+std::vector<sparse::Dcsr<double>> rmat_runs(
+    int scale, index_t edge_factor, std::size_t batch_edges,
+    std::initializer_list<std::size_t> weights) {
+  util::ThreadPool pool(4);
+  const auto g = bench::rmat_graph(scale, edge_factor, 42, &pool);
+  const algebra::PlusTimes<double> p;
+  std::vector<sparse::Dcsr<double>> runs;
+  auto lo = g.edges().begin();
+  for (const std::size_t w : weights) {
+    const auto hi = lo + static_cast<std::ptrdiff_t>(w * batch_edges);
+    graph::Graph part(g.num_vertices());
+    part.edges().assign(lo, hi);
+    runs.push_back(sparse::Dcsr<double>::compress(graph::build_adjacency(
+        part, p, sparse::SpGemmAlgo::kAuto, &pool)));
+    lo = hi;
+  }
+  return runs;
+}
+
+/// One ladder compaction alone (`merge_add_k`, `Dcsr` → `Dcsr`) on the
+/// run shapes the e2e workloads merge:
+///   scale:16 — two runs of 65,536 edges at n = 65,536 (about one entry
+///       per row), merged serially, as a background merge runs on its
+///       one pool worker;
+///   scale:19 — bulk-load's last inline merge: 7 runs of 32, 16, 8, 4,
+///       2, 1 and 1 batches of 131,072 edges at n = 2^19, on
+///       ThreadPool(4).
+/// bytes_per_entry is the merged run's heap (row ids, row pointer,
+/// columns, values) per stored entry.
+void BM_MergeRuns(benchmark::State& state) {
+  const int scale = static_cast<int>(state.range(0));
+  const auto runs = scale == 16
+                        ? rmat_runs(16, 2, 65536, {1, 1})
+                        : rmat_runs(19, 16, 131072, {32, 16, 8, 4, 2, 1, 1});
+  std::vector<const sparse::Dcsr<double>*> ptrs;
+  std::uint64_t in_nnz = 0;
+  for (const auto& r : runs) {
+    ptrs.push_back(&r);
+    in_nnz += static_cast<std::uint64_t>(r.nnz());
+  }
+  util::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+  const auto add = [](const double& x, const double& y) { return x + y; };
+  double out_nnz = 0;
+  double out_bytes = 0;
+  for (auto _ : state) {
+    const auto merged = sparse::merge_add_k(ptrs, add, &pool);
+    benchmark::DoNotOptimize(merged.nnz());
+    out_nnz = static_cast<double>(merged.nnz());
+    out_bytes = static_cast<double>(
+        merged.row_ids().size() * sizeof(merged.row_ids()[0]) +
+        merged.row_ptr().size() * sizeof(merged.row_ptr()[0]) +
+        merged.cols().size() * sizeof(merged.cols()[0]) +
+        merged.vals().size() * sizeof(merged.vals()[0]));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out_nnz));
+  state.counters["in_nnz"] = static_cast<double>(in_nnz);
+  state.counters["out_nnz"] = out_nnz;
+  state.counters["bytes_per_entry"] = out_bytes / out_nnz;
+}
+BENCHMARK(BM_MergeRuns)
+    ->ArgNames({"scale", "threads"})
+    ->Args({16, 1})
+    ->Args({19, 4})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
