@@ -21,7 +21,12 @@ struct Edge {
 
 class Graph {
  public:
-  explicit Graph(index_t num_vertices = 0) : num_vertices_(num_vertices) {}
+  /// Throws `std::invalid_argument` for a negative vertex count.
+  explicit Graph(index_t num_vertices = 0) : num_vertices_(num_vertices) {
+    if (num_vertices < 0) {
+      throw std::invalid_argument("graph::Graph: negative vertex count");
+    }
+  }
 
   index_t num_vertices() const { return num_vertices_; }
   index_t num_edges() const { return static_cast<index_t>(edges_.size()); }

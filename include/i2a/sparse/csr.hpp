@@ -205,6 +205,9 @@ class Csr {
     return out;
   }
 
+  /// A stored column id (`Dcsr` stores its ids narrower).
+  using col_type = index_t;
+
   /// Validating factory: like the raw constructor but rejects malformed
   /// input with `std::invalid_argument` instead of trusting the caller.
   /// Use at ingestion boundaries; the kernels assume canonical CSR (the

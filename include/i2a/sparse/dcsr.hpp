@@ -13,19 +13,31 @@
 ///   * `row_ids`  — the ids of the non-empty rows, strictly increasing;
 ///   * `row_ptr`  — `row_ids.size() + 1` offsets, row_ids[k]'s entries
 ///                  at [row_ptr[k], row_ptr[k + 1]);
-///   * `cols`, `vals` — exactly as in `Csr`.
+///   * `cols`     — each row's column ids, as in `Csr` but stored as
+///                  32-bit `col_type`;
+///   * `vals`     — exactly as in `Csr`.
 ///
-/// so its size is O(stored rows + nnz), independent of n. A row lookup
-/// is a binary search over `row_ids`; the merge kernel (sparse/merge.hpp)
-/// instead walks the id lists with cursors. `compress` and `to_csr`
-/// convert to and from the dense layout without changing an entry, so a
-/// `Dcsr` holds exactly the bytes of the `Csr` it came from, minus the
-/// empty rows' pointer slots.
+/// so its size is O(stored rows + nnz), independent of n: 12 B per entry
+/// (a 4-byte column id beside an 8-byte value) plus 16 B per stored row
+/// for a `double` run. A row lookup is a binary search over `row_ids`;
+/// the merge kernel (sparse/merge.hpp) instead walks the id lists with
+/// cursors. `compress` and `to_csr` convert to and from the dense layout
+/// without changing an entry — `compress` narrows each column id and
+/// `to_csr` widens it back — so a `Dcsr` holds exactly the entries of
+/// the `Csr` it came from, minus the empty rows' pointer slots.
+///
+/// The 32-bit ids cap `ncols` at 2^32 (`kMaxCols`; `compress` throws
+/// above it). That removes no working capability from the streaming
+/// builders, whose runs are n × n: staging a batch already allocates a
+/// dense n + 1 `index_t` row pointer, 32 GiB at n = 2^32.
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -38,10 +50,17 @@ namespace i2a::sparse {
 template <typename T>
 class Dcsr {
  public:
+  /// A stored column id. Every public read of an entry (`to_csr`, and
+  /// the merge kernel's emitted columns) widens it back to `index_t`.
+  using col_type = std::uint32_t;
+  /// The largest column count whose ids fit `col_type`: 2^32.
+  static constexpr index_t kMaxCols =
+      index_t{std::numeric_limits<col_type>::max()} + 1;
+
   Dcsr() : nrows_(0), ncols_(0), row_ptr_{0} {}
 
   Dcsr(index_t nrows, index_t ncols, std::vector<index_t> row_ids,
-       std::vector<index_t> row_ptr, std::vector<index_t> cols,
+       std::vector<index_t> row_ptr, std::vector<col_type> cols,
        std::vector<T> vals)
       : nrows_(nrows),
         ncols_(ncols),
@@ -54,9 +73,13 @@ class Dcsr {
   }
 
   /// The stored-row layout of `dense`: its empty rows dropped, its column
-  /// and value arrays moved over unchanged. O(nrows) to scan the row
-  /// pointer; pass an rvalue to avoid copying the entries.
+  /// ids narrowed to `col_type` and its value array moved over unchanged.
+  /// O(nrows + nnz); pass an rvalue to avoid copying the values. Throws
+  /// `std::invalid_argument` when `dense.ncols()` exceeds `kMaxCols`.
   static Dcsr compress(Csr<T> dense) {
+    if (dense.ncols() > kMaxCols) {
+      throw std::invalid_argument("Dcsr::compress: more than 2^32 columns");
+    }
     I2A_EXPECTS(dense.is_canonical(), "Dcsr::compress: input not canonical");
     const auto& rp = dense.row_ptr();
     std::size_t stored = 0;
@@ -76,20 +99,25 @@ class Dcsr {
     }
     const index_t nrows = dense.nrows();
     const index_t ncols = dense.ncols();
-    auto [cols, vals] = std::move(dense).release_entries();
+    auto [wide, vals] = std::move(dense).release_entries();
+    std::vector<col_type> cols(wide.size());
+    std::transform(wide.begin(), wide.end(), cols.begin(),
+                   [](index_t c) { return static_cast<col_type>(c); });
     Dcsr out(nrows, ncols, std::move(row_ids), std::move(row_ptr),
              std::move(cols), std::move(vals));
     I2A_ENSURES(out.is_canonical(), "Dcsr::compress: non-canonical DCSR");
     return out;
   }
 
-  /// The same entries in the dense layout (an n + 1 row pointer).
+  /// The same entries in the dense layout (an n + 1 row pointer and
+  /// `index_t` column ids).
   Csr<T> to_csr() const {
     std::vector<index_t> rp(static_cast<std::size_t>(nrows_) + 1, 0);
     for_each_dense_row_ptr([&rp](index_t r, index_t v) {
       rp[static_cast<std::size_t>(r)] = v;
     });
-    return Csr<T>(nrows_, ncols_, std::move(rp), cols_, vals_);
+    return Csr<T>(nrows_, ncols_, std::move(rp),
+                  std::vector<index_t>(cols_.begin(), cols_.end()), vals_);
   }
 
   /// Call `fn(r, row_ptr_r)` for r = 0..nrows in order: the dense row
@@ -131,11 +159,11 @@ class Dcsr {
   }
 
   /// Column indices of the `k`-th stored row (strictly increasing).
-  std::span<const index_t> stored_cols(index_t k) const {
+  std::span<const col_type> stored_cols(index_t k) const {
     const auto b = static_cast<std::size_t>(row_ptr_[static_cast<std::size_t>(k)]);
     const auto e =
         static_cast<std::size_t>(row_ptr_[static_cast<std::size_t>(k) + 1]);
-    return std::span<const index_t>(cols_.data() + b, e - b);
+    return std::span<const col_type>(cols_.data() + b, e - b);
   }
 
   /// Values of the `k`-th stored row, parallel to `stored_cols(k)`.
@@ -148,7 +176,7 @@ class Dcsr {
 
   const std::vector<index_t>& row_ids() const { return row_ids_; }
   const std::vector<index_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<index_t>& cols() const { return cols_; }
+  const std::vector<col_type>& cols() const { return cols_; }
   const std::vector<T>& vals() const { return vals_; }
 
  private:
@@ -159,9 +187,10 @@ class Dcsr {
   static const char* invariant_violation(index_t nrows, index_t ncols,
                                          const std::vector<index_t>& row_ids,
                                          const std::vector<index_t>& row_ptr,
-                                         const std::vector<index_t>& cols,
+                                         const std::vector<col_type>& cols,
                                          std::size_t vals_size) {
     if (nrows < 0 || ncols < 0) return "negative dimension";
+    if (ncols > kMaxCols) return "ncols exceeds the 32-bit column ids";
     if (row_ptr.size() != row_ids.size() + 1) {
       return "row_ptr size != stored rows + 1";
     }
@@ -179,8 +208,8 @@ class Dcsr {
     }
     for (std::size_t k = 0; k < row_ids.size(); ++k) {
       for (index_t i = row_ptr[k]; i < row_ptr[k + 1]; ++i) {
-        const index_t c = cols[static_cast<std::size_t>(i)];
-        if (c < 0 || c >= ncols) return "column out of range";
+        const auto c = static_cast<index_t>(cols[static_cast<std::size_t>(i)]);
+        if (c >= ncols) return "column out of range";
         if (i > row_ptr[k] && cols[static_cast<std::size_t>(i) - 1] >= c) {
           return "columns not strictly increasing within a row";
         }
@@ -193,7 +222,7 @@ class Dcsr {
   index_t ncols_;
   std::vector<index_t> row_ids_;  // non-empty rows, strictly increasing
   std::vector<index_t> row_ptr_;  // size row_ids + 1, strictly increasing
-  std::vector<index_t> cols_;     // size nnz, sorted within each row
+  std::vector<col_type> cols_;    // size nnz, sorted within each row
   std::vector<T> vals_;           // size nnz
 };
 

@@ -19,7 +19,8 @@
 /// Three layout pairs exist, one per caller:
 ///
 ///   * `Dcsr` → `Dcsr` — the ladder's compactions (stream/shard.hpp);
-///   * `Dcsr` → `Csr`  — `PinnedSnapshot::materialize()`;
+///   * `Dcsr` → `Csr`  — `PinnedSnapshot::materialize()`, which widens
+///     each 32-bit column id as it writes it;
 ///   * `Csr`  → `Csr`  — `merge(p, a, b)` and the dense runs of the
 ///     bench/e2e layer replay.
 ///
@@ -56,6 +57,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -75,12 +77,13 @@ namespace i2a::sparse {
 namespace detail {
 
 /// The k-way row merge's cursor frontier: one (cols, vals, len) cursor
-/// per input that stores the row being merged, in input order. Reused
-/// across every row of a chunk and across the count and scatter passes
-/// (which index it by the same chunk id), and by `fold_row`.
-template <typename T>
+/// per input that stores the row being merged, in input order, over
+/// column ids of the inputs' type `C`. Reused across every row of a
+/// chunk and across the count and scatter passes (which index it by the
+/// same chunk id), and by `fold_row`.
+template <typename T, typename C>
 struct MergeScratch {
-  std::vector<const index_t*> cols;  ///< loaded row j's cursor (cols)
+  std::vector<const C*> cols;        ///< loaded row j's cursor (cols)
   std::vector<const T*> vals;        ///< loaded row j's cursor (vals)
   std::vector<index_t> len;          ///< entries left in loaded row j
   std::size_t loaded = 0;            ///< rows in the frontier
@@ -95,7 +98,7 @@ struct MergeScratch {
     loaded = 0;
   }
   /// Add one input's row to the frontier (after every older input's).
-  void push(std::span<const index_t> c, std::span<const T> v) {
+  void push(std::span<const C> c, std::span<const T> v) {
     cols[loaded] = c.data();
     vals[loaded] = v.data();
     len[loaded] = static_cast<index_t>(c.size());
@@ -104,21 +107,23 @@ struct MergeScratch {
 };
 
 /// Fold the rows loaded into `s` and call `emit(col, folded_value)` once
-/// per merged column, strictly increasing. Folding visits the loaded rows
+/// per merged column, strictly increasing, the column widened to
+/// `index_t`. Folding visits the loaded rows
 /// in load order — oldest input first — which is the age order callers
 /// rely on. `need_vals` = false lets the count pass skip value reads
 /// (and ⊕) entirely; `emit` then sees a value-initialized `T`.
-template <typename T, typename Add, typename Emit>
-void merge_row_k(MergeScratch<T>& s, const Add& add, bool need_vals,
+template <typename T, typename C, typename Add, typename Emit>
+void merge_row_k(MergeScratch<T, C>& s, const Add& add, bool need_vals,
                  const Emit& emit) {
   const std::size_t k = s.loaded;
   index_t live = 0;
   for (std::size_t i = 0; i < k; ++i) live += s.len[i];
   while (live > 0) {
-    // Frontier minimum: the next merged column.
-    index_t mc = -1;
+    // Frontier minimum: the next merged column (some row is live, so
+    // the minimum is a stored id even when that id is the type's max).
+    C mc = std::numeric_limits<C>::max();
     for (std::size_t i = 0; i < k; ++i) {
-      if (s.len[i] > 0 && (mc < 0 || *s.cols[i] < mc)) mc = *s.cols[i];
+      if (s.len[i] > 0 && *s.cols[i] < mc) mc = *s.cols[i];
     }
     // Fold every run holding `mc`, oldest (lowest index) first.
     bool open = false;
@@ -135,7 +140,7 @@ void merge_row_k(MergeScratch<T>& s, const Add& add, bool need_vals,
         --live;
       }
     }
-    emit(mc, acc);
+    emit(static_cast<index_t>(mc), acc);
   }
 }
 
@@ -143,7 +148,7 @@ void merge_row_k(MergeScratch<T>& s, const Add& add, bool need_vals,
 /// inputs also position each cursor at its first stored row ≥ `r`.
 template <typename Run, typename T>
 void seek_rows(const std::vector<const Run*>& runs, index_t r,
-               MergeScratch<T>& s) {
+               MergeScratch<T, typename Run::col_type>& s) {
   s.reset(runs.size());
   if constexpr (std::is_same_v<Run, Dcsr<T>>) {
     s.pos.resize(runs.size());
@@ -161,7 +166,7 @@ void seek_rows(const std::vector<const Run*>& runs, index_t r,
 /// a cursor over its row ids, a dense one a row-pointer test.
 template <typename Run, typename T>
 bool load_row(const std::vector<const Run*>& runs, index_t r,
-              MergeScratch<T>& s) {
+              MergeScratch<T, typename Run::col_type>& s) {
   s.loaded = 0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const Run& m = *runs[i];
@@ -213,7 +218,8 @@ std::vector<index_t> union_row_ids(const std::vector<const Dcsr<T>*>& runs) {
 
 /// The merge kernel: C = runs[0] ⊕ runs[1] ⊕ … ⊕ runs[k-1], entrywise,
 /// all runs the same shape and the layout `In`, output in the layout
-/// `Out` — `In` itself, or a dense `Csr` from hypersparse runs. `add(a,
+/// `Out` — `In` itself, or a dense `Csr` from hypersparse runs, each
+/// column id written as `Out`'s `col_type`. `add(a,
 /// b)` is ⊕; equal columns fold in run order, so callers encoding batch
 /// age as run order get the same fold a single-shot build would perform.
 /// Output is byte-identical across pool sizes.
@@ -260,7 +266,7 @@ Out<T> merge_add_k(const std::vector<const In<T>*>& runs, const Add& add,
   const bool parallel = pool != nullptr && pool->size() > 1 && nslots > 0;
   const index_t nchunks =
       parallel ? pool->num_chunks(nslots) : (nslots > 0 ? 1 : 0);
-  std::vector<detail::MergeScratch<T>> scratch(
+  std::vector<detail::MergeScratch<T, typename In<T>::col_type>> scratch(
       static_cast<std::size_t>(nchunks));
 
   // Pass 1 (count): per-slot merged sizes, written into off[slot + 1]
@@ -292,7 +298,8 @@ Out<T> merge_add_k(const std::vector<const In<T>*>& runs, const Add& add,
   // out-of-memory failure lands mid-merge. A fire discards only the
   // partially built output; the input runs stay live and pinned.
   I2A_FAILPOINT("merge.scatter.alloc");
-  std::vector<index_t> cols(static_cast<std::size_t>(off.back()));
+  using OutCol = typename Out<T>::col_type;
+  std::vector<OutCol> cols(static_cast<std::size_t>(off.back()));
   std::vector<T> vals(static_cast<std::size_t>(off.back()));
 
   // Pass 2 (scatter + fold): same chunk decomposition, same scratch,
@@ -306,7 +313,7 @@ Out<T> merge_add_k(const std::vector<const In<T>*>& runs, const Add& add,
           auto w = static_cast<std::size_t>(
               off[static_cast<std::size_t>(slot)]);
           detail::merge_row_k(s, add, true, [&](index_t c, const T& v) {
-            cols[w] = c;
+            cols[w] = static_cast<OutCol>(c);
             vals[w] = v;
             ++w;
           });

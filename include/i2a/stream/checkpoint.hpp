@@ -169,6 +169,8 @@ std::string write_checkpoint(
               } else {
                 for (const index_t v : csr.row_ptr()) w.i64(v);
               }
+              // Column ids ride as i64 whatever the layout stores (a
+              // `Dcsr`'s are 32-bit); recovery narrows them again.
               for (const index_t v : csr.cols()) w.i64(v);
               // Values ride as raw bit patterns; the manifest's algebra
               // tag pins sizeof(V), so a mismatched instantiation can't

@@ -61,8 +61,10 @@ class PinnedSnapshot {
   using value_type = typename P::value_type;
   using RunPtr = std::shared_ptr<const sparse::Dcsr<value_type>>;
   /// Reusable cursor scratch for `fold_row` — allocate once per reader,
-  /// pass to every row fold (the BFS port does exactly this).
-  using RowScratch = sparse::detail::MergeScratch<value_type>;
+  /// pass to every row fold (the BFS port does exactly this). Its
+  /// cursors read the runs' stored column ids.
+  using RowScratch = sparse::detail::MergeScratch<
+      value_type, typename sparse::Dcsr<value_type>::col_type>;
 
   /// Pins `shards[s]`, shard s's runs (oldest first; all shape n × n,
   /// holding only rows r with `shard_index(r, shards.size()) == s`).

@@ -65,6 +65,7 @@
 #include "core/types.hpp"
 #include "graph/graph.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/dcsr.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/pinned_snapshot.hpp"
 #include "stream/shard.hpp"
@@ -92,7 +93,9 @@ class ShardedBuilder {
 
   /// A non-empty `opts.wal_dir` attaches a fresh WAL (segment 0, epoch
   /// 0); the directory must not already hold durable state (use
-  /// `recover()`).
+  /// `recover()`). Throws `std::invalid_argument`, before touching
+  /// `wal_dir`, for a negative vertex count or one above 2^32 (the runs'
+  /// 32-bit column ids, sparse/dcsr.hpp).
   ShardedBuilder(index_t num_vertices, std::size_t num_shards, P p = P{},
                  const Options& opts = {})
       : st_(std::make_shared<State>(num_vertices, num_shards, std::move(p),
@@ -102,6 +105,9 @@ class ShardedBuilder {
                   static_cast<std::uint32_t>(opts.weighting)} {
     if (num_vertices < 0) {
       throw std::invalid_argument("i2a::stream: negative vertex count");
+    }
+    if (num_vertices > sparse::Dcsr<value_type>::kMaxCols) {
+      throw std::invalid_argument("i2a::stream: more than 2^32 vertices");
     }
     if (num_shards == 0) throw std::invalid_argument("i2a::stream: 0 shards");
     if (!opts.wal_dir.empty()) {

@@ -178,9 +178,17 @@ class ThreadPool {
       MutexLock lock(state->mu);
       if (!state->error) state->error = std::current_exception();
     }
-    MutexLock lock(state->mu);
-    while (state->pending != 0) state->cv.wait(state->mu);
-    if (state->error) std::rethrow_exception(state->error);
+    // Take the error out of the join state under its lock and rethrow it
+    // unlocked: a worker may still drop the state's last reference after
+    // its final notify, and it must not release the exception then —
+    // libstdc++'s exception refcount is invisible to TSan.
+    std::exception_ptr error;
+    {
+      MutexLock lock(state->mu);
+      while (state->pending != 0) state->cv.wait(state->mu);
+      error = std::move(state->error);
+    }
+    if (error) std::rethrow_exception(std::move(error));
   }
 
   /// Detached background task: runs once on a worker thread (FIFO with

@@ -155,6 +155,19 @@ void test_out_of_range_endpoints_throw() {
   }
 }
 
+/// A negative vertex count is refused where the graph is made, so it
+/// cannot reach incidence assembly (which used to abort on it).
+void test_negative_vertex_count_throws() {
+  bool threw = false;
+  try {
+    (void)graph::build_adjacency(graph::Graph(-5),
+                                 algebra::PlusTimes<double>{});
+  } catch (const std::invalid_argument&) {
+    threw = true;
+  }
+  CHECK(threw);
+}
+
 }  // namespace
 
 int main() {
@@ -164,5 +177,6 @@ int main() {
   test_reverse_adjacency();
   test_weighted_incidence();
   test_out_of_range_endpoints_throw();
+  test_negative_vertex_count_throws();
   return TEST_MAIN_RESULT();
 }

@@ -444,6 +444,47 @@ void test_dcsr_layout() {
   CHECK(D(4, 4, {1, 3}, {0, 2, 3}, {0, 3, 2}, {1.0, 1.0, 1.0}).is_canonical());
 }
 
+/// Column ids at the top of the 32-bit range: 4-row arrays with
+/// ncols = 2^32 and entries in column 2^32 − 1 (folded across both runs
+/// in row 0, alone in row 3) go through `compress`, both hypersparse
+/// merges and `to_csr` bit for bit, and `compress` refuses one more
+/// column.
+void test_dcsr_32bit_column_edge() {
+  constexpr index_t kCols = index_t{1} << 32;
+  constexpr index_t kTop = kCols - 1;
+  const sparse::Csr<double> a(4, kCols, {0, 2, 2, 3, 4}, {5, kTop, 0, 1},
+                              {1.0, 2.0, 3.0, 4.0});
+  const sparse::Csr<double> b(4, kCols, {0, 1, 2, 2, 3}, {kTop, kTop - 1, kTop},
+                              {5.0, 6.0, 7.0});
+  const auto ha = sparse::Dcsr<double>::compress(a);
+  const auto hb = sparse::Dcsr<double>::compress(b);
+  CHECK(ha.is_canonical());
+  CHECK_EQ(ha.cols()[1], std::uint32_t{0xffffffff});
+  CHECK(csr_bitwise_equal(ha.to_csr(), a));
+  CHECK(csr_bitwise_equal(hb.to_csr(), b));
+  const auto expected = merge_add_reference(
+      std::vector<const sparse::Csr<double>*>{&a, &b}, plus);
+  CHECK_EQ(expected.at(0, kTop, 0.0), 7.0);
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* pl : {static_cast<util::ThreadPool*>(nullptr),
+                               &pool}) {
+    const auto hyper = merge_pair_hyper<sparse::Dcsr>(ha, hb, plus, pl);
+    CHECK(dcsr_bitwise_equal(hyper,
+                             sparse::Dcsr<double>::compress(expected)));
+    CHECK(csr_bitwise_equal(hyper.to_csr(), expected));
+    CHECK(csr_bitwise_equal(merge_pair_hyper<sparse::Csr>(ha, hb, plus, pl),
+                            expected));
+  }
+  bool threw = false;
+  try {
+    (void)sparse::Dcsr<double>::compress(
+        sparse::Csr<double>(4, kCols + 1, {0, 0, 0, 0, 1}, {kCols}, {1.0}));
+  } catch (const std::invalid_argument&) {
+    threw = true;
+  }
+  CHECK(threw);
+}
+
 }  // namespace
 
 int main() {
@@ -457,5 +498,6 @@ int main() {
   test_zero_row_matrices();
   test_layout_differential();
   test_dcsr_layout();
+  test_dcsr_32bit_column_edge();
   return TEST_MAIN_RESULT();
 }

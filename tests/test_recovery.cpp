@@ -567,6 +567,36 @@ void test_manifest_refusals() {
   CHECK(refused);
 }
 
+/// A run's column ids are 32-bit, so a builder over more than 2^32
+/// vertices is refused before its WAL directory is made — by the
+/// constructor and by `recover()`, unsharded and sharded. (n = 2^32
+/// itself is accepted, but staging a batch there would allocate a
+/// 32 GiB row pointer, so no test ingests at that size.)
+void test_builder_refuses_more_than_2_32_vertices() {
+  TempDir td;
+  const index_t too_many = (index_t{1} << 32) + 1;
+  const auto expect_refused = [&](const std::string& dir, auto&& fn) {
+    bool threw = false;
+    try {
+      fn(durable_opts(dir));
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    CHECK(threw);
+    CHECK(!util::file_exists(dir));
+  };
+  expect_refused(td.path + "/single",
+                 [&](const Options& o) { Builder b(too_many, PT{}, o); });
+  expect_refused(td.path + "/sharded",
+                 [&](const Options& o) { Sharded b(too_many, 4, PT{}, o); });
+  expect_refused(td.path + "/recover", [&](const Options& o) {
+    (void)Builder::recover(too_many, PT{}, o);
+  });
+  expect_refused(td.path + "/recover-sharded", [&](const Options& o) {
+    (void)Sharded::recover(too_many, 4, PT{}, o);
+  });
+}
+
 /// AdjacencyBuilder is ShardedBuilder at one shard: the same stream
 /// leaves byte-identical durable directories, and each type recovers the
 /// other's directory to the same bytes.
@@ -1638,6 +1668,7 @@ int main(int argc, char** argv) {
   test_recover_with_checkpoint();
   test_sharded_recover();
   test_manifest_refusals();
+  test_builder_refuses_more_than_2_32_vertices();
   test_single_builder_is_one_shard();
   test_recover_refuses_out_of_range_endpoint();
   test_checkpoint_rejects_non_canonical_run();
