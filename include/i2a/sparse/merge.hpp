@@ -108,10 +108,10 @@ struct MergeScratch {
 
 /// Fold the rows loaded into `s` and call `emit(col, folded_value)` once
 /// per merged column, strictly increasing, the column widened to
-/// `index_t`. Folding visits the loaded rows
-/// in load order — oldest input first — which is the age order callers
-/// rely on. `need_vals` = false lets the count pass skip value reads
-/// (and ⊕) entirely; `emit` then sees a value-initialized `T`.
+/// `index_t`. Folding visits the loaded rows in load order — oldest
+/// input first — which is the age order callers rely on. `need_vals` =
+/// false lets the count pass skip value reads (and ⊕) entirely; `emit`
+/// then sees a value-initialized `T`.
 template <typename T, typename C, typename Add, typename Emit>
 void merge_row_k(MergeScratch<T, C>& s, const Add& add, bool need_vals,
                  const Emit& emit) {
@@ -219,9 +219,9 @@ std::vector<index_t> union_row_ids(const std::vector<const Dcsr<T>*>& runs) {
 /// The merge kernel: C = runs[0] ⊕ runs[1] ⊕ … ⊕ runs[k-1], entrywise,
 /// all runs the same shape and the layout `In`, output in the layout
 /// `Out` — `In` itself, or a dense `Csr` from hypersparse runs, each
-/// column id written as `Out`'s `col_type`. `add(a,
-/// b)` is ⊕; equal columns fold in run order, so callers encoding batch
-/// age as run order get the same fold a single-shot build would perform.
+/// column id written as `Out`'s `col_type`. `add(a, b)` is ⊕; equal
+/// columns fold in run order, so callers encoding batch age as run order
+/// get the same fold a single-shot build would perform.
 /// Output is byte-identical across pool sizes.
 template <template <typename> class In, template <typename> class Out = In,
           typename T, typename Add>
