@@ -1,8 +1,8 @@
 /// \file bench_spgemm_ablation.cpp
 /// \brief PERF2: SpGEMM ablation — the engine's row kernels (Gustavson,
 ///        heap, and kAuto's width rule) against the dense full-semantics
-///        baseline, and the per-edge fold of R-MAT incidence arrays,
-///        across density, size and output width.
+///        baseline, and the per-edge build kernel on R-MAT incidence
+///        arrays, across density, size and output width.
 ///
 /// Every run lands in BENCH_spgemm.json (override with --benchmark_out),
 /// with two machine-readable signals per point: items/s (semiring flops,
@@ -121,11 +121,13 @@ BENCHMARK(BM_SpGemm_DenseBaseline)->Arg(128)->Arg(256)->Arg(512);
 
 // The paper's product shape: A = Eᵀout ⊕.⊗ Ein over the incidence
 // arrays of an R-MAT graph with edge factor 8 (so edges/8 vertices).
-// Every incidence row holds exactly one entry, so kAuto runs the
-// per-edge fold, as every `adjacency_array` caller does; the point
-// refuses to time anything else. Items are edges, so items/s is edges/s.
-// `max_bucket_share` is the largest fold bucket's term count over m, with
-// the buckets `detail::plan_fold` lays out: a measure of source skew.
+// Every incidence row holds exactly one entry, so kAuto folds the
+// per-edge terms with the build kernel, as every `adjacency_array`
+// caller does; the point refuses to time anything else. Items are edges,
+// so items/s is edges/s.
+// `max_bucket_share` is the largest bucket's term count over m, with the
+// buckets of consecutive output rows that `detail::key_layout` gives the
+// build kernel: a measure of source skew.
 void BM_SpGemm_IncidenceShape(benchmark::State& state) {
   const index_t edges = state.range(0);
   const int scale =
@@ -140,16 +142,12 @@ void BM_SpGemm_IncidenceShape(benchmark::State& state) {
     return;
   }
   const index_t vertices = inc.eout.ncols();
-  const auto plan =
-      sparse::detail::plan_fold(edges, vertices, inc.ein.ncols());
-  if (!plan) {
-    state.SkipWithError("fold keys do not fit in 63 bits");
-    return;
-  }
-  std::vector<index_t> bucket_terms(
-      static_cast<std::size_t>(plan->nbuckets), 0);
+  const auto layout =
+      sparse::detail::key_layout(edges, vertices, inc.ein.ncols());
+  std::vector<index_t> bucket_terms(static_cast<std::size_t>(layout.nbuckets),
+                                    0);
   for (const index_t src : inc.eout.cols()) {
-    ++bucket_terms[static_cast<std::size_t>(src >> plan->shift)];
+    ++bucket_terms[static_cast<std::size_t>(src >> layout.shift)];
   }
   std::uint64_t allocs = 0;
   for (auto _ : state) {

@@ -19,9 +19,10 @@
 /// The bytes produced are identical to the old path's (and pool-size
 /// independent: edge e always lands at slot e).
 ///
-/// Both products call `sparse::spgemm_at_b`, whose kAuto folds the
-/// row-singleton incidence arrays per edge, with no transpose
-/// (sparse/spgemm.hpp).
+/// Both products call `sparse::spgemm_at_b`, whose kAuto hands the
+/// row-singleton incidence arrays' per-edge ⊗-terms to the build kernel
+/// (`detail::build_csr`, sparse/csr.hpp), with ⊕ as its duplicate
+/// operator and no transpose.
 
 #include <stdexcept>
 #include <utility>
@@ -132,8 +133,8 @@ IncidencePair<typename P::value_type> weighted_incidence_arrays(
 /// The paper's construction: A = Eᵀout ⊕.⊗ Ein. With kAuto both
 /// operands are row singletons, so the product is the per-edge fold:
 /// A(i,j) is the ⊕-fold, in edge order, of Eout(e,i) ⊗ Ein(e,j) over the
-/// edges i→j, with no transpose (sparse/spgemm.hpp). A forced kernel
-/// runs the engine on the transposed Eout.
+/// edges i→j, with no transpose (the build kernel, sparse/csr.hpp). A
+/// forced kernel runs the engine on the transposed Eout.
 template <typename P>
   requires algebra::Semiring<P>
 sparse::Csr<typename P::value_type> adjacency_array(

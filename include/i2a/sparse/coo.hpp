@@ -4,8 +4,10 @@
 ///
 /// COO is the append-friendly format: generators and bulk loaders `push`
 /// entries in whatever order they discover them, then hand the buffer to
-/// `Csr::from_coo` which groups, orders, deduplicates, and compresses.
-/// (Incidence arrays no longer stage through COO at all — their one-
+/// `Csr::from_coo`, which groups, orders, deduplicates and compresses it
+/// with the build kernel (sparse/csr.hpp). An `Entry` is also the
+/// kernel's term type: kAuto's per-edge product yields one per edge.
+/// (Incidence arrays do not stage through COO at all — their one-
 /// nonzero-per-row structure admits a direct CSR build; see
 /// graph/incidence.hpp.)
 

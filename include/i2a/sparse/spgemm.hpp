@@ -27,13 +27,13 @@
 /// One shape skips the engine. When `spgemm_at_b` gets two `Csr`
 /// operands that store exactly one entry per row (row pointer = the
 /// identity ramp, as every incidence array's is) and kAuto, Aᵀ ⊕.⊗ B
-/// has one ⊗-term per row e, at (col_A(e), col_B(e)). The row-singleton
-/// fold buckets, sorts and ⊕-folds those m terms directly, in
-/// increasing e, with O(m) scratch and no transpose: bitwise equal to
-/// forced kGustavson on any carrier. Every other `spgemm_at_b` call
-/// (forced kGustavson/kHeap, keys too wide to pack, any other operand
-/// shape) is `spgemm(p, transpose(a), b)`, and that engine route stays
-/// the fold's differential oracle.
+/// has one ⊗-term per row e, at (col_A(e), col_B(e)). The build kernel
+/// (`detail::build_csr`, sparse/csr.hpp) ⊕-folds those m terms directly,
+/// in increasing e, with O(m) scratch and no transpose, for any shape:
+/// bitwise equal to forced kGustavson on any carrier. Every other
+/// `spgemm_at_b` call (forced kGustavson/kHeap, any other operand shape)
+/// is `spgemm(p, transpose(a), b)`, and that engine route stays the
+/// kernel's differential oracle.
 ///
 /// Scratch (dense accumulator, merge heap, slabs) is chunk-local and
 /// reused across rows: zero per-row heap allocations in steady state.
@@ -41,14 +41,11 @@
 /// Parallel runs use ThreadPool::parallel_for_chunks; because every row
 /// lands at a prefix-sum-determined offset and each row's computation is
 /// independent and deterministic, the output is byte-identical across
-/// pool sizes (including serial). The fold sorts by a total order, so
-/// the same holds for it.
+/// pool sizes (including serial). The build kernel sorts by a total
+/// order, so the same holds for it.
 
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -242,8 +239,8 @@ void heap_merge_row(const P& p, const Csr<T>& a, const Csr<T>& b, index_t i,
 }
 
 // run_chunked — the shared fork/join driver — lives in sparse/csr.hpp's
-// detail namespace: the COO→CSR assembly engine and the parallel
-// transpose use the same chunk decomposition.
+// detail namespace: the build kernel and the parallel transpose use the
+// same chunk decomposition.
 
 /// The SpGEMM engine (shape in the file comment). Slabs grow
 /// geometrically, amortized across the chunk, so peak memory is
@@ -359,168 +356,6 @@ bool row_singleton(const Csr<T>& a) {
   return true;
 }
 
-/// Layout of the row-singleton fold's m terms. Terms go to buckets of
-/// 2^shift consecutive output rows, at most max(1, m/16) of them, so
-/// every histogram is O(m). A term's sort key packs, high to low, its row
-/// within the bucket, its column and its slot (its position after the
-/// bucket scatter, increasing in e within a bucket), which needs
-/// shift + col_bits + slot_bits <= 63 (so no shift reaches 64).
-struct FoldPlan {
-  int shift = 0;
-  int col_bits = 0;
-  int slot_bits = 0;
-  index_t nbuckets = 0;
-};
-
-/// The plan for an (m terms) → nrows × ncols fold, or nullopt when the
-/// packed keys would not fit in 63 bits (the engine computes those).
-inline std::optional<FoldPlan> plan_fold(index_t m, index_t nrows,
-                                         index_t ncols) {
-  FoldPlan plan;
-  if (m == 0) return plan;
-  // m > 0 implies nrows, ncols > 0: every operand row stores a column.
-  const index_t max_buckets = std::max<index_t>(1, m / 16);
-  while (((nrows - 1) >> plan.shift) + 1 > max_buckets) ++plan.shift;
-  plan.nbuckets = ((nrows - 1) >> plan.shift) + 1;
-  const auto bits = [](index_t x) {
-    return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(x)));
-  };
-  plan.col_bits = bits(ncols - 1);
-  plan.slot_bits = bits(m - 1);
-  if (plan.shift + plan.col_bits + plan.slot_bits > 63) return std::nullopt;
-  return plan;
-}
-
-/// Aᵀ ⊕.⊗ B for row-singleton A and B (both m × ·): row e contributes the
-/// single term A(e,·) ⊗ B(e,·) at (col_A(e), col_B(e)), and each output
-/// entry is the ⊕-fold of its terms in increasing e — the order
-/// Gustavson's scatter visits them in, so the bytes equal forced
-/// `kGustavson` on any carrier.
-///
-/// Shape (`plan` from `plan_fold`): a stable count/scatter of the terms
-/// into their buckets, then per bucket a sort of the packed keys, a
-/// count, and — after one prefix sum over the buckets — the fold into
-/// the exact-size output. Buckets own disjoint output-row ranges, so
-/// each writes its slice of the row pointer, the only O(n) allocation.
-/// Bucket work is split by term count, not bucket count, so a skewed
-/// (power-law) source distribution still spreads over the pool. Keys
-/// are distinct (each holds its slot), hence the bytes are the same for
-/// every pool size.
-template <typename P>
-Csr<typename P::value_type> fold_row_singletons(
-    const P& p, const Csr<typename P::value_type>& a,
-    const Csr<typename P::value_type>& b, const FoldPlan& plan,
-    util::ThreadPool* pool) {
-  using T = typename P::value_type;
-  // Injection site: the fold is the product, so it shares the engine's
-  // site and fires before the first allocation.
-  I2A_FAILPOINT("spgemm.numeric.alloc");
-  const index_t m = a.nrows();
-  const index_t nrows = a.ncols();
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
-  if (m == 0) return Csr<T>(nrows, b.ncols(), std::move(row_ptr), {}, {});
-
-  const auto& src = a.cols();
-  const auto& dst = b.cols();
-  const int shift = plan.shift;
-  const int cs_bits = plan.col_bits + plan.slot_bits;
-  const index_t nbuckets = plan.nbuckets;
-  const std::uint64_t col_mask = (std::uint64_t{1} << plan.col_bits) - 1;
-  const std::uint64_t slot_mask = (std::uint64_t{1} << plan.slot_bits) - 1;
-  const auto row_mask = (index_t{1} << shift) - 1;
-  const auto bucket_of = [&](index_t e) {
-    return static_cast<std::size_t>(src[static_cast<std::size_t>(e)] >>
-                                    shift);
-  };
-  const bool parallel = pool != nullptr && pool->size() > 1;
-  const index_t nchunks = parallel ? pool->num_chunks(m) : 1;
-
-  std::vector<std::vector<index_t>> hist(static_cast<std::size_t>(nchunks));
-  run_chunked(pool, parallel, m, [&](index_t chunk, index_t lo, index_t hi) {
-    auto& h = hist[static_cast<std::size_t>(chunk)];
-    h.assign(static_cast<std::size_t>(nbuckets), 0);
-    for (index_t e = lo; e < hi; ++e) ++h[bucket_of(e)];
-  });
-  std::vector<index_t> bucket_ptr(static_cast<std::size_t>(nbuckets) + 1);
-  stitch_bucket_cursors(hist, bucket_ptr, nbuckets);
-  // The scatter is stable, so within a bucket slots increase with e.
-  std::vector<std::uint64_t> keys(static_cast<std::size_t>(m));
-  std::vector<T> terms(static_cast<std::size_t>(m));
-  const auto& avals = a.vals();
-  const auto& bvals = b.vals();
-  run_chunked(pool, parallel, m, [&](index_t chunk, index_t lo, index_t hi) {
-    auto& cur = hist[static_cast<std::size_t>(chunk)];
-    for (index_t e = lo; e < hi; ++e) {
-      const auto ue = static_cast<std::size_t>(e);
-      const auto slot = static_cast<std::size_t>(cur[bucket_of(e)]++);
-      keys[slot] =
-          (static_cast<std::uint64_t>(src[ue] & row_mask) << cs_bits) |
-          (static_cast<std::uint64_t>(dst[ue]) << plan.slot_bits) | slot;
-      terms[slot] = p.mul(avals[ue], bvals[ue]);
-    }
-  });
-  hist = {};
-
-  // Chunk c owns the buckets that start inside its term range [lo, hi).
-  const auto first_bucket = [&](index_t pos) {
-    if (pos == m) return nbuckets;
-    return static_cast<index_t>(
-        std::lower_bound(bucket_ptr.begin(), bucket_ptr.end() - 1, pos) -
-        bucket_ptr.begin());
-  };
-  const auto for_each_bucket = [&](const auto& body) {
-    run_chunked(pool, parallel, m, [&](index_t, index_t lo, index_t hi) {
-      for (index_t bk = first_bucket(lo), end = first_bucket(hi); bk < end;
-           ++bk) {
-        body(bk, keys.begin() + bucket_ptr[static_cast<std::size_t>(bk)],
-             keys.begin() + bucket_ptr[static_cast<std::size_t>(bk) + 1]);
-      }
-    });
-  };
-  const auto entry = [&](std::uint64_t key) { return key >> plan.slot_bits; };
-
-  // Sort each bucket and count its distinct (row, col) entries.
-  std::vector<index_t> out_ptr(static_cast<std::size_t>(nbuckets) + 1, 0);
-  for_each_bucket([&](index_t bk, auto first, auto last) {
-    std::sort(first, last);
-    index_t cnt = 0;
-    for (auto it = first; it != last; ++it) {
-      cnt += it == first || entry(*it) != entry(*(it - 1));
-    }
-    out_ptr[static_cast<std::size_t>(bk) + 1] = cnt;
-  });
-  for (std::size_t bk = 0; bk < static_cast<std::size_t>(nbuckets); ++bk) {
-    out_ptr[bk + 1] += out_ptr[bk];
-  }
-
-  // Fold each bucket's runs into place and fill its row-pointer slice.
-  std::vector<index_t> cols(static_cast<std::size_t>(out_ptr.back()));
-  std::vector<T> vals(static_cast<std::size_t>(out_ptr.back()));
-  for_each_bucket([&](index_t bk, auto first, auto last) {
-    auto w = static_cast<std::size_t>(out_ptr[static_cast<std::size_t>(bk)]);
-    const index_t base = bk << shift;
-    index_t r = base;  // next row whose end is unset
-    const index_t r_end = bk + 1 == nbuckets ? nrows : base + row_mask + 1;
-    for (auto it = first; it != last;) {
-      const index_t row = base + static_cast<index_t>(*it >> cs_bits);
-      for (; r < row; ++r) {
-        row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<index_t>(w);
-      }
-      cols[w] = static_cast<index_t>(entry(*it) & col_mask);
-      T acc = terms[static_cast<std::size_t>(*it & slot_mask)];
-      for (++it; it != last && entry(*it) == entry(*(it - 1)); ++it) {
-        acc = p.add(acc, terms[static_cast<std::size_t>(*it & slot_mask)]);
-      }
-      vals[w++] = acc;
-    }
-    for (; r < r_end; ++r) {
-      row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<index_t>(w);
-    }
-  });
-  return Csr<T>(nrows, b.ncols(), std::move(row_ptr), std::move(cols),
-                std::move(vals));
-}
-
 }  // namespace detail
 
 /// C = A ⊕.⊗ B with sparse-shortcut semantics. `pool` enables row-chunk
@@ -549,9 +384,10 @@ Csr<typename P::value_type> spgemm(const P& p,
 
 /// C = Aᵀ ⊕.⊗ B — the paper's product shape (A and B are both tall
 /// edge×vertex incidence arrays). With kAuto and two row-singleton
-/// operands (incidence arrays) it runs the row-singleton fold (file
-/// comment); every other case is `spgemm(p, transpose(a, pool), b)`,
-/// with the transpose built on the same pool. Throws
+/// operands (incidence arrays) it folds the per-edge ⊗-terms with the
+/// build kernel (file comment); every other case is
+/// `spgemm(p, transpose(a, pool), b)`, with the transpose built on the
+/// same pool. Throws
 /// `std::invalid_argument` when A and B have different row counts, in
 /// every build.
 template <typename P>
@@ -569,11 +405,22 @@ Csr<typename P::value_type> spgemm_at_b(
   I2A_EXPECTS(b.is_canonical(), "spgemm_at_b: B not canonical CSR");
   if (algo == SpGemmAlgo::kAuto && detail::row_singleton(a) &&
       detail::row_singleton(b)) {
-    if (const auto plan = detail::plan_fold(a.nrows(), a.ncols(), b.ncols())) {
-      auto c = detail::fold_row_singletons(p, a, b, *plan, pool);
-      I2A_ENSURES(c.is_canonical(), "spgemm_at_b: non-canonical product");
-      return c;
-    }
+    // Injection site: the kernel is the product, so it shares the
+    // engine's site and fires before the kernel allocates.
+    I2A_FAILPOINT("spgemm.numeric.alloc");
+    using T = typename P::value_type;
+    const auto& src = a.cols();
+    const auto& dst = b.cols();
+    const auto& avals = a.vals();
+    const auto& bvals = b.vals();
+    return detail::build_csr(
+        a.ncols(), b.ncols(), a.nrows(),
+        [&](index_t e) {
+          const auto ue = static_cast<std::size_t>(e);
+          return typename Coo<T>::Entry{src[ue], dst[ue],
+                                        p.mul(avals[ue], bvals[ue])};
+        },
+        [&p](const T& acc, const T& t) { return p.add(acc, t); }, pool);
   }
   return spgemm(p, transpose(a, pool), b, algo, pool);
 }

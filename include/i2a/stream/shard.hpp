@@ -304,11 +304,11 @@ struct State : std::enable_shared_from_this<State<P>> {
 
   /// Build one shard's part of a batch into its delta adjacency: the
   /// sort-free incidence arrays, then `adjacency_array` with kAuto, which
-  /// folds the part's per-edge ⊗-terms directly (no transpose view, O(m)
-  /// scratch; sparse/spgemm.hpp). Then drop the delta's empty rows; its
-  /// n + 1 row pointer is the one O(n) transient per delta, and the run
-  /// keeps only the rows the part's sources name. Touches no guarded
-  /// state, so it runs lock-free.
+  /// ⊕-folds the part's per-edge ⊗-terms with the build kernel (no
+  /// transpose, O(m) scratch; `detail::build_csr`, sparse/csr.hpp). Then
+  /// drop the delta's empty rows; its n + 1 row pointer is the one O(n)
+  /// transient per delta, and the run keeps only the rows the part's
+  /// sources name. Touches no guarded state, so it runs lock-free.
   Prepared stage(std::span<const graph::Edge> part) const {
     Prepared prep;
     prep.edges = part.size();

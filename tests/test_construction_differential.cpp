@@ -6,9 +6,15 @@
 ///        empty rows, and empty matrices, compared bitwise (both fold a
 ///        (row, col) group's duplicates in push order, so even FP kSum
 ///        must agree bit for bit). The direct incidence assembly is
-///        likewise pinned to the old COO + reference path.
+///        likewise pinned to the old COO + reference path. Generated
+///        cases (seed from I2A_BUILD_SEED, printed) draw random shapes,
+///        duplicate rates, orders and values, columns too wide for a
+///        64-bit sort key included, and also run the build kernel on
+///        pools {none, 1, 2, 4, 8}, which must give the same bytes.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -194,6 +200,88 @@ void test_weighted_incidence_direct_vs_reference() {
   }
 }
 
+/// The build kernel over a buffer's entries on `pool`, with the
+/// duplicate operator `from_coo` uses for `policy`.
+sparse::Csr<double> build_on_pool(const sparse::Coo<double>& coo,
+                                  sparse::DupPolicy policy,
+                                  util::ThreadPool* pool) {
+  const auto& e = coo.entries();
+  return sparse::detail::build_csr(
+      coo.nrows(), coo.ncols(), static_cast<index_t>(e.size()),
+      [&](index_t k) { return e[static_cast<std::size_t>(k)]; },
+      [policy](double acc, double v) {
+        return policy == sparse::DupPolicy::kSum ? acc + v : acc;
+      },
+      pool);
+}
+
+/// One generated buffer: a random shape (wide columns in some cases),
+/// a random number of entries, a random duplicate rate (entries squeezed
+/// onto few rows and columns) and a random order, with full-precision
+/// reals.
+sparse::Coo<double> generated_coo(util::Xoshiro256& rng) {
+  const index_t wide = index_t{1} << 58;
+  const index_t nrows = rng.between(1, 300);
+  const index_t ncols = rng.between(0, 3) == 0 ? wide + rng.between(0, 1000)
+                                               : rng.between(1, 300);
+  const index_t nnz = rng.between(0, 3) == 0 ? rng.between(64, 4000)
+                                             : rng.between(0, 200);
+  const index_t row_range = rng.between(1, nrows);
+  const index_t col_range =
+      rng.between(0, 1) == 0 ? rng.between(1, std::min<index_t>(8, ncols))
+                             : ncols;
+  sparse::Coo<double> coo(nrows, ncols);
+  for (index_t k = 0; k < nnz; ++k) {
+    coo.push(rng.between(0, row_range - 1),
+             ncols - 1 - rng.between(0, col_range - 1),
+             rng.uniform(-8.0, 8.0));
+  }
+  // Some buffers arrive in row-major order: with their duplicates (rows
+  // ordered, columns not strictly), or without (the copy-through path).
+  auto& e = coo.entries();
+  const auto order = rng.between(0, 3);
+  if (order >= 2) {
+    std::stable_sort(e.begin(), e.end(), [](const auto& a, const auto& b) {
+      return a.row != b.row ? a.row < b.row : a.col < b.col;
+    });
+  }
+  if (order == 3) {
+    e.erase(std::unique(e.begin(), e.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.row == b.row && a.col == b.col;
+                        }),
+            e.end());
+  }
+  return coo;
+}
+
+void test_generated_against_reference(std::uint64_t seed) {
+  util::ThreadPool pool1(1), pool2(2), pool4(4), pool8(8);
+  util::ThreadPool* const pools[] = {&pool1, &pool2, &pool4, &pool8};
+  util::Xoshiro256 rng(seed);
+  for (int t = 0; t < 60; ++t) {
+    const auto coo = generated_coo(rng);
+    check_against_reference([&] { return coo; });
+    for (const auto policy : kPolicies) {
+      const auto serial = build_on_pool(coo, policy, nullptr);
+      for (util::ThreadPool* pool : pools) {
+        CHECK(identical(build_on_pool(coo, policy, pool), serial));
+      }
+    }
+  }
+  // The wide shape that a 64-bit key cannot hold: 3 rows × 2^58
+  // columns, 64 entries (6 slot bits), duplicates on two columns.
+  check_against_reference([] {
+    util::Xoshiro256 r(606);
+    sparse::Coo<double> coo(3, index_t{1} << 58);
+    for (int k = 0; k < 64; ++k) {
+      coo.push(r.between(0, 2), (index_t{1} << 58) - 1 - r.between(0, 1),
+               r.uniform(-8.0, 8.0));
+    }
+    return coo;
+  });
+}
+
 void test_coo_reserve() {
   sparse::Coo<double> coo(4, 4);
   coo.reserve(16);
@@ -215,5 +303,9 @@ int main() {
   test_incidence_direct_vs_reference();
   test_weighted_incidence_direct_vs_reference();
   test_coo_reserve();
+  const std::uint64_t seed = i2a::test::env_seed("I2A_BUILD_SEED", 20261019);
+  std::printf("test_construction_differential: seed %llu (I2A_BUILD_SEED)\n",
+              static_cast<unsigned long long>(seed));
+  test_generated_against_reference(seed);
   return TEST_MAIN_RESULT();
 }

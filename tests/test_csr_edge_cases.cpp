@@ -1,7 +1,7 @@
 /// \file test_csr_edge_cases.cpp
 /// \brief CSR invariants the SpGEMM and merge kernels rely on:
-///        duplicate-policy handling and entry range checks in COO→CSR
-///        assembly, `transpose` round-trips, and `Csr::checked` rejecting
+///        duplicate-policy handling, entry range checks and negative
+///        dimensions in COO→CSR assembly, `transpose` round-trips, and `Csr::checked` rejecting
 ///        out-of-order columns and other malformed storage.
 
 #include <cstdint>
@@ -81,6 +81,17 @@ void test_from_coo_rejects_out_of_range_entries() {
   }
 }
 
+void test_from_coo_rejects_negative_dimensions() {
+  // A negative row count once ran the prefix sum over an empty row
+  // pointer; a negative column count returned a non-canonical Csr.
+  CHECK(throws_invalid_argument([] {
+    (void)sparse::Csr<double>::from_coo(sparse::Coo<double>(-1, 5));
+  }));
+  CHECK(throws_invalid_argument([] {
+    (void)sparse::Csr<double>::from_coo(sparse::Coo<double>(3, -2));
+  }));
+}
+
 void test_transpose_round_trip() {
   const auto a = random_csr(23, 31, 120, 7);
   const auto round = sparse::transpose(sparse::transpose(a));
@@ -148,6 +159,7 @@ void test_checked_rejects_malformed() {
 int main() {
   test_dup_policies();
   test_from_coo_rejects_out_of_range_entries();
+  test_from_coo_rejects_negative_dimensions();
   test_transpose_round_trip();
   test_checked_accepts_canonical();
   test_checked_rejects_malformed();

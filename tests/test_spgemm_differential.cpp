@@ -8,6 +8,11 @@
 ///        AᵀB operands (one entry per row) additionally pin kAuto's
 ///        per-row fold to forced kGustavson bit for bit, real values
 ///        included, and near-incidence operands to the engine.
+///        Generated incidence cases (seed from I2A_BUILD_SEED, printed)
+///        pin real-valued +.× kAuto to forced kGustavson, or, where the
+///        output is too wide for its dense accumulator, to the
+///        stable-sort reference build of the ⊗-terms, on pools
+///        {none, 1, 2, 4, 8}.
 ///
 /// Exactness is achievable because inputs are integer-valued doubles in
 /// [1, 8]: every ⊗ product and ⊕ fold of the seven pairs is then exact
@@ -17,7 +22,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "algebra/pairs.hpp"
@@ -26,6 +33,7 @@
 #include "sparse/spgemm.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
+#include "csr_reference.hpp"
 #include "test_util.hpp"
 
 using namespace i2a;
@@ -193,9 +201,10 @@ void run_incidence(const P& p, bool exact_add, std::uint64_t seed) {
   incidence_case(p, exact_add, 30, 70000, 2500, 70000, seed + 11);  // bipartite
 }
 
-/// kAuto packs (row, col, slot) into one 64-bit sort key only when the
-/// shape says it fits in 63 bits. An output 2^60 (fits: 60 column + 3
-/// slot bits) and 2^60 + 1 (does not) columns wide, over one source
+/// kAuto's build kernel packs (row, col, slot) into a 64-bit sort key
+/// when the shape says it fits in 63 bits, else into a 128-bit one. An
+/// output 2^60 (fits: 60 column + 3 slot bits) and 2^60 + 1 (does not)
+/// columns wide, over one source
 /// vertex and 8 edges, must match the heap merge exactly either way
 /// (forced kGustavson would allocate a 2^60-wide accumulator).
 void key_width_case() {
@@ -213,6 +222,72 @@ void key_width_case() {
     CHECK(exact_eq(
         sparse::spgemm_at_b(p, a, b, sparse::SpGemmAlgo::kAuto, g_pool4),
         heap));
+  }
+}
+
+/// Generated row-singleton AᵀB on real-valued +.×: m terms drawn onto a
+/// random number of source and destination vertices (few of them, for
+/// heavy parallel edges, or up to the whole range), with n_dst sometimes
+/// 2^58 + d, where the kernel's keys need 128 bits, and edges sometimes
+/// sorted and without parallels. kAuto must equal
+/// the stable-sort reference build of the terms (kSum folds them in
+/// increasing e, as ⊕ = + does) on every pool, and forced kGustavson
+/// wherever its dense accumulator fits.
+void generated_incidence_cases(std::uint64_t seed) {
+  const algebra::PlusTimes<double> p;
+  util::ThreadPool pool2(2), pool8(8);
+  util::ThreadPool* const pools[] = {nullptr, g_pool1, &pool2, g_pool4,
+                                     &pool8};
+  util::Xoshiro256 rng(seed);
+  for (int t = 0; t < 40; ++t) {
+    const index_t m = rng.between(0, 3) == 0 ? rng.between(0, 63)
+                                             : rng.between(64, 6000);
+    const index_t n_src = rng.between(0, 2) == 0 ? 30 : rng.between(1, 5000);
+    const index_t n_dst = rng.between(0, 2) == 0
+                              ? (index_t{1} << 58) + rng.between(0, 1000)
+                              : rng.between(1, 70000);
+    const index_t src_range = rng.between(1, n_src);
+    const index_t dst_range = rng.between(0, 1) == 0 ? rng.between(1, 16)
+                                                     : n_dst;
+    std::vector<index_t> src(static_cast<std::size_t>(m));
+    std::vector<index_t> dst(static_cast<std::size_t>(m));
+    for (std::size_t e = 0; e < src.size(); ++e) {
+      src[e] = rng.between(0, src_range - 1);
+      dst[e] = n_dst - 1 - rng.between(0, dst_range - 1);
+    }
+    if (rng.between(0, 3) == 0) {
+      // Edges sorted by (src, dst) without parallels: the terms arrive
+      // in order, and the kernel copies them through.
+      std::vector<std::pair<index_t, index_t>> edges;
+      for (std::size_t e = 0; e < src.size(); ++e) {
+        edges.emplace_back(src[e], dst[e]);
+      }
+      std::sort(edges.begin(), edges.end());
+      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+      src.resize(edges.size());
+      dst.resize(edges.size());
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        src[e] = edges[e].first;
+        dst[e] = edges[e].second;
+      }
+    }
+    const auto a =
+        singleton_rows(n_src, src, false, RowShape::kIncidence, rng.next());
+    const auto b =
+        singleton_rows(n_dst, dst, false, RowShape::kIncidence, rng.next());
+    sparse::Coo<double> terms(n_src, n_dst);
+    for (std::size_t e = 0; e < src.size(); ++e) {
+      terms.push(src[e], dst[e], p.mul(a.vals()[e], b.vals()[e]));
+    }
+    const auto ref = i2a::test::csr_from_coo_reference(std::move(terms));
+    if (n_dst <= (index_t{1} << 20)) {
+      CHECK(exact_eq(
+          sparse::spgemm_at_b(p, a, b, sparse::SpGemmAlgo::kGustavson), ref));
+    }
+    for (util::ThreadPool* pool : pools) {
+      CHECK(exact_eq(
+          sparse::spgemm_at_b(p, a, b, sparse::SpGemmAlgo::kAuto, pool), ref));
+    }
   }
 }
 
@@ -259,6 +334,10 @@ int main() {
   run_pair(algebra::MaxMin<double>{}, 600);
   run_pair(algebra::MinMax<double>{}, 700);
   key_width_case();
+  const std::uint64_t seed = i2a::test::env_seed("I2A_BUILD_SEED", 20261019);
+  std::printf("test_spgemm_differential: seed %llu (I2A_BUILD_SEED)\n",
+              static_cast<unsigned long long>(seed));
+  generated_incidence_cases(seed);
 
   return TEST_MAIN_RESULT();
 }

@@ -4,7 +4,9 @@
 ///        test main returns nonzero if any fired. No framework
 ///        dependency, so tier-1 needs nothing beyond the toolchain.
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 #include "sparse/csr.hpp"
 #include "sparse/dcsr.hpp"
@@ -29,6 +31,14 @@ bool dcsr_bitwise_equal(const sparse::Dcsr<T>& a, const sparse::Dcsr<T>& b) {
   return a.nrows() == b.nrows() && a.ncols() == b.ncols() &&
          a.row_ids() == b.row_ids() && a.row_ptr() == b.row_ptr() &&
          a.cols() == b.cols() && a.vals() == b.vals();
+}
+
+/// The seed of a generated suite: the environment variable `var` when
+/// set (decimal, 0x… or 0…), else `fallback`. The suite prints it, so a
+/// failing case can be replayed.
+inline std::uint64_t env_seed(const char* var, std::uint64_t fallback) {
+  const char* env = std::getenv(var);
+  return env != nullptr ? std::strtoull(env, nullptr, 0) : fallback;
 }
 
 }  // namespace i2a::test

@@ -7,9 +7,10 @@ Release with -DI2A_BUILD_BENCHMARKS=ON: the base revision, extracted with
 .bench_build/ab-base, and the working tree, built in .bench_build/ab-change.
 It then runs R rounds. Each round visits the points both binaries list
 (`--benchmark_list_tests`, narrowed by --filter) in an order shuffled
-per round from --seed, and runs each point on both sides, one process
-per point and side (`--benchmark_filter=^<escaped name>$`; base first
-in even rounds, change first in odd ones). A fresh process per point
+per round from --seed, and runs each point three times, one process
+per run (`--benchmark_filter=^<escaped name>$`): on the base, on the
+change, and on the base again (the null run). The three rotate through
+the three positions from round to round. A fresh process per point
 keeps one point's allocations from shaping the next one's: glibc's
 dynamic mmap and trim thresholds carry over between the points of one
 process, so a point's time would depend on which points ran before it.
@@ -17,17 +18,21 @@ It prints one verdict per point for the change against the base:
 better, worse, unchanged or unresolved. The verdict is
 bench/e2e/run.py's `metric_verdict` over the per-round wall times
 (`real_time`, lower is better; one base and one change value per round
-form a pair), at the relative bound given by --bound. A point only one
-side lists is reported as `base only` or `change only`, unmeasured.
+form a pair), at the relative bound given by --bound. Beside it stands
+the null verdict, the same verdict for the null runs against the base:
+what noise alone reads on that point, so a `worse` whose null also
+reads `worse` shows no more than noise. A point only one side lists is
+reported as `base only` or `change only`, unmeasured.
 
 Usage:
   bench_ab.py SUITE [--base REV] [--rounds R] [--bound B] [--filter REGEX]
               [--seed S]
       Exits 1 when any point is worse or a run reports an error.
   bench_ab.py --self-test
-      Runs the verdict path on canned base/change results (no build) and
-      checks that it reports better, worse, unchanged and unresolved where
-      expected, and that the one-point filter selects exactly its point.
+      Runs the verdict path on canned base/change/null results (no build)
+      and checks that it reports better, worse, unchanged and unresolved
+      where expected, in the verdict and in the null column, and that the
+      one-point filter selects exactly its point.
 """
 
 import argparse
@@ -102,17 +107,21 @@ def verdicts(base_runs, change_runs, bound):
     return rows
 
 
-def print_rows(rows, bound):
+def print_rows(rows, null_rows, bound):
+    """The verdict table; `null_rows` (from `verdicts` on the base and
+    null runs) give each point's null ratio and verdict."""
+    null = {name: (verdict, ma, mb) for name, verdict, ma, mb in null_rows}
     width = max([len(r[0]) for r in rows] + [5])
-    print("%-*s  %14s  %14s  %7s  verdict (bound %g)"
-          % (width, "point", "base real_time", "change", "ratio", bound))
+    print("%-*s  %14s  %14s  %7s  %-11s  %7s  %s"
+          % (width, "point", "base real_time", "change", "ratio",
+             "verdict", "null", "null verdict (bound %g)" % bound))
+    ratio = lambda ma, mb: "-" if ma is None else "%.3f" % (mb / ma)
     for name, verdict, ma, mb in rows:
-        if ma is None:
-            print("%-*s  %14s  %14s  %7s  %s" % (width, name, "-", "-", "-",
-                                                 verdict))
-        else:
-            print("%-*s  %14.6g  %14.6g  %7.3f  %s"
-                  % (width, name, ma, mb, mb / ma, verdict))
+        nv, na, nb = null.get(name, ("-", None, None))
+        print("%-*s  %14s  %14s  %7s  %-11s  %7s  %s"
+              % (width, name, "-" if ma is None else "%.6g" % ma,
+                 "-" if mb is None else "%.6g" % mb, ratio(ma, mb), verdict,
+                 ratio(na, nb), nv))
 
 
 def point_filter(name):
@@ -155,18 +164,20 @@ def cmd_ab(args):
     listed = {side: list_points(binary, runs_dir, args.filter)
               for side, binary in binaries.items()}
     points = [n for n in listed["change"] if n in listed["base"]]
-    # One shuffled order per round, the same for both sides.
+    # One shuffled order per round, the same for every side; the sides
+    # rotate through the three positions from round to round.
+    sides = [("base", "base"), ("change", "change"), ("null", "base")]
     rng = random.Random(args.seed)
-    runs = {"base": [], "change": []}
+    runs = {side: [] for side, _ in sides}
     for r in range(args.rounds):
-        order = ("base", "change") if r % 2 == 0 else ("change", "base")
+        order = sides[r % 3:] + sides[:r % 3]
         shuffled = rng.sample(points, len(points))
-        results = {"base": [], "change": []}
+        results = {side: [] for side, _ in sides}
         for i, name in enumerate(shuffled):
-            for side in order:
+            for side, binary in order:
                 out = os.path.join(runs_dir, "%s-%d-%d.json" % (side, r, i))
-                results[side] += run_point(binaries[side], out, name)
-        for side in order:
+                results[side] += run_point(binaries[binary], out, name)
+        for side, _ in sides:
             runs[side].append({"benchmarks": results[side]})
         print("round %d/%d done" % (r + 1, args.rounds), file=sys.stderr)
     rows = verdicts(runs["base"], runs["change"], args.bound)
@@ -176,7 +187,8 @@ def cmd_ab(args):
              for n in listed["change"] if n not in listed["base"]]
     print("%s: base %s vs working tree, %d rounds, seed %d"
           % (args.suite, args.base, args.rounds, args.seed))
-    print_rows(rows, args.bound)
+    print_rows(rows, verdicts(runs["base"], runs["null"], args.bound),
+               args.bound)
     return 1 if any(v in ("worse", "error") for _, v, _, _ in rows) else 0
 
 
@@ -189,12 +201,14 @@ def canned(points):
 def cmd_self_test():
     """Eight canned rounds. Base times sit near 100 with a ~1% spread;
     each point's change times are built to land on one verdict at a 5%
-    bound (lower real_time is better)."""
+    bound (lower real_time is better), and its null times (the base run
+    again) on one null verdict."""
     base = {
         "BM_Faster": [100, 101, 99, 100.5, 99.5, 100, 101, 99],
         "BM_Slower": [100, 101, 99, 100.5, 99.5, 100, 101, 99],
         "BM_Same": [100, 101, 99, 100.5, 99.5, 100, 101, 99],
         "BM_Noisy": [80, 120, 95, 110, 85, 125, 100, 90],
+        "BM_Drift": [100, 101, 99, 100.5, 99.5, 100, 101, 99],
     }
     change = {
         "BM_Faster": [90, 91, 89, 90.5, 89.5, 90, 91, 89],
@@ -202,28 +216,39 @@ def cmd_self_test():
         # base, rotated by one round: same distribution, no winner.
         "BM_Same": [101, 99, 100.5, 99.5, 100, 101, 99, 100],
         "BM_Noisy": [120, 85, 100, 80, 115, 95, 110, 90],
+        "BM_Drift": [110, 111, 109, 110.5, 109.5, 110, 111, 109],
     }
+    # The base again: rotated by two rounds (no drift), except where the
+    # point drifts between runs of one binary, so noise alone reads worse.
+    null = {name: v[2:] + v[:2] for name, v in base.items()}
+    null["BM_Drift"] = [111, 109, 110.5, 109.5, 110, 111, 109, 110]
     expect = {"BM_Faster": "better", "BM_Slower": "worse",
               "BM_Same": "unchanged", "BM_Noisy": "unresolved",
-              "BM_Broken": "error"}
+              "BM_Drift": "worse", "BM_Broken": "error"}
+    expect_null = {"BM_Faster": "unchanged", "BM_Slower": "unchanged",
+                   "BM_Same": "unchanged", "BM_Noisy": "unresolved",
+                   "BM_Drift": "worse", "BM_Broken": "unchanged"}
     rounds = len(base["BM_Faster"])
-    base_runs = [canned({n: v[r] for n, v in base.items()})
-                 for r in range(rounds)]
-    change_runs = [canned({n: v[r] for n, v in change.items()})
-                   for r in range(rounds)]
+    runs = [[canned({n: v[r] for n, v in side.items()})
+             for r in range(rounds)] for side in (base, change, null)]
+    base_runs, change_runs, null_runs = runs
     # A point that fails in one change run is reported as an error.
-    for runs in (base_runs, change_runs):
-        for doc in runs:
+    for side in runs:
+        for doc in side:
             doc["benchmarks"].append(dict(name="BM_Broken", real_time=100.0))
     change_runs[3]["benchmarks"][-1]["error_occurred"] = True
     rows = verdicts(base_runs, change_runs, 0.05)
-    print_rows(rows, 0.05)
-    got = {name: v for name, v, _, _ in rows}
+    null_rows = verdicts(base_runs, null_runs, 0.05)
+    print_rows(rows, null_rows, 0.05)
     failures = 0
-    for name, want in expect.items():
-        if got.get(name) != want:
-            failures += 1
-            print("FAIL %s: expected %s, got %s" % (name, want, got.get(name)))
+    for column, got_rows, want in (("verdict", rows, expect),
+                                   ("null verdict", null_rows, expect_null)):
+        got = {name: v for name, v, _, _ in got_rows}
+        for name, w in want.items():
+            if got.get(name) != w:
+                failures += 1
+                print("FAIL %s %s: expected %s, got %s"
+                      % (name, column, w, got.get(name)))
     # Each point's filter selects that point and no other: names with
     # '/' and ':' separators, prefixes of one another, and regex
     # metacharacters that must match literally.
