@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "algebra/pairs.hpp"
@@ -125,17 +126,21 @@ BENCHMARK(BM_SpGemm_DenseBaseline)->Arg(128)->Arg(256)->Arg(512);
 // per-edge terms with the build kernel, as every `adjacency_array`
 // caller does; the point refuses to time anything else. Items are edges,
 // so items/s is edges/s.
+// Each iteration times an unseen batch: with the timer paused, the edge
+// order is shuffled and the incidence arrays rebuilt. Re-running one
+// input let the branch predictor learn the kernel's sort, which at 1,024
+// edges halved the time per edge (DESIGN §4).
 // `max_bucket_share` is the largest bucket's term count over m, with the
 // buckets of consecutive output rows that `detail::key_layout` gives the
-// build kernel: a measure of source skew.
+// build kernel: a measure of source skew (the shuffle does not change it).
 void BM_SpGemm_IncidenceShape(benchmark::State& state) {
   const index_t edges = state.range(0);
   const int scale =
       static_cast<int>(std::bit_width(static_cast<std::uint64_t>(edges / 8))) -
       1;
   const algebra::PlusTimes<double> p;
-  const auto inc =
-      graph::incidence_arrays(bench::rmat_graph(scale, 8, 3), p);
+  graph::Graph g = bench::rmat_graph(scale, 8, 3);
+  auto inc = graph::incidence_arrays(g, p);
   if (!sparse::detail::row_singleton(inc.eout) ||
       !sparse::detail::row_singleton(inc.ein)) {
     state.SkipWithError("incidence operands are not row singletons");
@@ -150,7 +155,12 @@ void BM_SpGemm_IncidenceShape(benchmark::State& state) {
     ++bucket_terms[static_cast<std::size_t>(src >> layout.shift)];
   }
   std::uint64_t allocs = 0;
+  std::mt19937_64 order(7);
   for (auto _ : state) {
+    state.PauseTiming();
+    std::shuffle(g.edges().begin(), g.edges().end(), order);
+    inc = graph::incidence_arrays(g, p);
+    state.ResumeTiming();
     const auto before = bench::alloc_count();
     auto c = sparse::spgemm_at_b(p, inc.eout, inc.ein, SpGemmAlgo::kAuto);
     benchmark::DoNotOptimize(c);

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -64,6 +65,17 @@ void for_blocks(util::ThreadPool* pool, index_t nblocks, const Body& body) {
   }
 }
 
+/// Throws std::invalid_argument when an edge on `n` (>= 1) vertices could
+/// name an id above `Edge::kMaxVertex`. Each generator calls it before it
+/// emits an edge, so no endpoint is narrowed out of range.
+inline void require_storable_ids(index_t n, const char* who) {
+  if (!storable_vertex(n - 1, n)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": vertex ids above 2^31 - 1 do not fit "
+                                "graph::Edge");
+  }
+}
+
 /// Iterate the kStreamBlock-sized blocks of [0, m), chunked on the pool
 /// when one is given: `body(rng, lo, hi)` receives block [lo, hi)'s own
 /// stream. The shared scaffolding of every exact-count loop.
@@ -92,7 +104,8 @@ inline constexpr std::size_t kPopulateMinBytes = std::size_t{32} << 20;
 /// first and its pages are faulted in on the pool
 /// (`util::populate_pages`), so the value-initialization of `resize`, the
 /// one serial pass left, writes resident pages: at R-MAT scale 19, edge
-/// factor 16, its 192 MiB took 49,153 page faults on the calling thread.
+/// factor 16, its 128 MiB would take 32,769 page faults on the calling
+/// thread.
 /// Without a pool of two or more threads, or where the kernel lacks the
 /// call, `resize` faults the pages in as before.
 inline void size_edges(std::vector<Edge>& edges, index_t m,
@@ -213,8 +226,9 @@ template <typename W>
     std::memcpy(srcs, &src, sizeof(W));
     std::memcpy(dsts, &dst, sizeof(W));
     for (int j = 0; j < kLanes; ++j) {
-      out[j * kStreamBlock + e] = Edge{static_cast<index_t>(srcs[j]),
-                                       static_cast<index_t>(dsts[j]), 1.0};
+      out[j * kStreamBlock + e] =
+          Edge{static_cast<Edge::vertex_type>(srcs[j]),
+               static_cast<Edge::vertex_type>(dsts[j]), 1.0};
     }
   }
 }
@@ -256,10 +270,13 @@ inline int rmat_max_lanes() { return 1; }
 
 /// `rmat` at walk width `lanes`, 1 or 4: at 4, and where the CPU has
 /// AVX2, each chunk's groups of four whole blocks are walked in lanes;
-/// every other block (the fewer than four left in a chunk, the final
-/// partial block, all of them without AVX2) is walked one-wide. The edge
-/// list is the same at either width. `rmat` runs the widest; the tests
-/// run both.
+/// every other block (the blocks past the last whole group of four, all
+/// of them without AVX2) is walked one-wide. Pool chunks hold whole
+/// groups of four blocks, so a chunk boundary never splits a group: a
+/// small generation on a pool (R-MAT scale 12, edge factor 8: 8 blocks
+/// on 4 threads) still reaches the lanes. The edge list is the same at
+/// either width and any chunking. `rmat` runs the widest; the tests run
+/// both.
 inline Graph rmat_at_width(int lanes, int scale, index_t edge_factor,
                            double a, double b, double c, std::uint64_t seed,
                            util::ThreadPool* pool) {
@@ -271,6 +288,7 @@ inline Graph rmat_at_width(int lanes, int scale, index_t edge_factor,
   }
   const index_t n = index_t{1} << scale;
   const index_t m = checked_mul(n, edge_factor);
+  if (m > 0) require_storable_ids(n, "rmat");
   const std::uint64_t k1 = unit_cutoff(a);
   const std::uint64_t k2 = std::max(k1, unit_cutoff(a + b));
   const std::uint64_t k3 = std::max(k2, unit_cutoff(a + b + c));
@@ -279,13 +297,14 @@ inline Graph rmat_at_width(int lanes, int scale, index_t edge_factor,
   const RmatWalk walk{g.edges().data(), m, scale, k1, k2, k3, seed};
   const bool four_wide = lanes == 4 && rmat_max_lanes() == 4;
   const index_t whole_blocks = m / kStreamBlock;
-  for_blocks(pool, (m + kStreamBlock - 1) / kStreamBlock,
-             [&](index_t blo, index_t bhi) {
-               const index_t end4 = std::min(bhi, whole_blocks);
-               const index_t rest =
-                   four_wide ? rmat_walk4(walk, blo, end4) : blo;
-               rmat_walk1(walk, rest, bhi);
-             });
+  const index_t nblocks = (m + kStreamBlock - 1) / kStreamBlock;
+  for_blocks(pool, (nblocks + 3) / 4, [&](index_t glo, index_t ghi) {
+    const index_t blo = 4 * glo;
+    const index_t bhi = std::min(nblocks, 4 * ghi);
+    const index_t end4 = std::min(bhi, whole_blocks);
+    const index_t rest = four_wide ? rmat_walk4(walk, blo, end4) : blo;
+    rmat_walk1(walk, rest, bhi);
+  });
   return g;
 }
 
@@ -295,7 +314,8 @@ inline Graph rmat_at_width(int lanes, int scale, index_t edge_factor,
 /// n * edge_factor edges, quadrant probabilities (a, b, c, 1-a-b-c).
 /// Duplicates and self-loops are kept — it generates a multigraph.
 /// Throws std::invalid_argument unless 0 <= scale <= 62 and
-/// edge_factor >= 0.
+/// edge_factor >= 0, and for scale > 31 with edges to emit (an endpoint
+/// above `Edge::kMaxVertex`; `rmat(62, 0)` is 2^62 isolated vertices).
 ///
 /// The walk is branch-free and exact. Each level draws k = next() >> 11
 /// and picks the quadrant the chain
@@ -327,7 +347,8 @@ inline Graph rmat(int scale, index_t edge_factor, double a, double b, double c,
 
 /// Uniform multigraph: m independent uniform (src, dst) draws — parallel
 /// edges and self-loops occur naturally. The validation sweep's workload.
-/// Throws std::invalid_argument for n < 0 or m < 0.
+/// Throws std::invalid_argument for n < 0, m < 0, or n > 2^31 with
+/// m > 0 (an endpoint above `Edge::kMaxVertex`).
 inline Graph random_multigraph(index_t n, index_t m, std::uint64_t seed,
                                util::ThreadPool* pool = nullptr) {
   if (n < 0) {
@@ -338,11 +359,13 @@ inline Graph random_multigraph(index_t n, index_t m, std::uint64_t seed,
   }
   Graph g(n);
   if (n <= 0) return g;
+  if (m > 0) detail::require_storable_ids(n, "random_multigraph");
   detail::fill_edges_blocked(
       g.edges(), m, seed, pool, [&](util::Xoshiro256& rng, index_t) {
         const index_t src = rng.between(0, n - 1);
         const index_t dst = rng.between(0, n - 1);
-        return Edge{src, dst, 1.0};
+        return Edge{static_cast<Edge::vertex_type>(src),
+                    static_cast<Edge::vertex_type>(dst), 1.0};
       });
   return g;
 }
@@ -353,7 +376,8 @@ inline Graph random_multigraph(index_t n, index_t m, std::uint64_t seed,
 /// expected hits each — a pure function of (n, p), so the output stays
 /// a pure function of the seed at any pool size — and per-chunk edge
 /// slabs are stitched with one prefix sum, mirroring the SpGEMM engine.
-/// Throws std::invalid_argument for n < 0 or a NaN `p`.
+/// Throws std::invalid_argument for n < 0, a NaN `p`, or n > 2^31 with
+/// p > 0 (an endpoint above `Edge::kMaxVertex`).
 inline Graph erdos_renyi(index_t n, double p, std::uint64_t seed,
                          util::ThreadPool* pool = nullptr) {
   if (n < 0) {
@@ -365,6 +389,7 @@ inline Graph erdos_renyi(index_t n, double p, std::uint64_t seed,
   Graph g(n);
   if (n <= 0 || p <= 0.0) return g;
   const index_t cells = checked_mul(n, n);
+  detail::require_storable_ids(n, "erdos_renyi");
   const double want =
       static_cast<double>(kStreamBlock) / std::min(1.0, p);
   const index_t cells_per_block =
@@ -386,7 +411,10 @@ inline Graph erdos_renyi(index_t n, double p, std::uint64_t seed,
         const index_t cell = lo + t;
         const index_t i = cell / n;
         const index_t j = cell % n;
-        if (i != j) slab.push_back(Edge{i, j, 1.0});
+        if (i != j) {
+          slab.push_back(Edge{static_cast<Edge::vertex_type>(i),
+                              static_cast<Edge::vertex_type>(j), 1.0});
+        }
       });
     }
   };
@@ -417,8 +445,9 @@ inline Graph erdos_renyi(index_t n, double p, std::uint64_t seed,
 
 /// Bipartite multigraph: vertices [0, nl) on the left, [nl, nl+nr) on the
 /// right, nl * deg uniform left→right edges. Throws
-/// std::invalid_argument for nl < 0, nr < 0 or deg < 0, and
-/// std::overflow_error when nl + nr overflows.
+/// std::invalid_argument for nl < 0, nr < 0 or deg < 0, or for
+/// nl + nr > 2^31 with edges to emit (an endpoint above
+/// `Edge::kMaxVertex`), and std::overflow_error when nl + nr overflows.
 inline Graph random_bipartite(index_t nl, index_t nr, index_t deg,
                               std::uint64_t seed,
                               util::ThreadPool* pool = nullptr) {
@@ -431,11 +460,15 @@ inline Graph random_bipartite(index_t nl, index_t nr, index_t deg,
   Graph g(checked_add(nl, nr));
   if (nl <= 0 || nr <= 0) return g;
   const index_t m = checked_mul(nl, deg);
+  if (m > 0) {
+    detail::require_storable_ids(g.num_vertices(), "random_bipartite");
+  }
   detail::fill_edges_blocked(
       g.edges(), m, seed, pool, [&](util::Xoshiro256& rng, index_t) {
         const index_t src = rng.between(0, nl - 1);
         const index_t dst = nl + rng.between(0, nr - 1);
-        return Edge{src, dst, 1.0};
+        return Edge{static_cast<Edge::vertex_type>(src),
+                    static_cast<Edge::vertex_type>(dst), 1.0};
       });
   return g;
 }

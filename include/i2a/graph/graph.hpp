@@ -4,7 +4,8 @@
 ///        self-loops, and isolated vertices are all first-class, because
 ///        the paper's theorem is precisely about surviving them.
 
-#include <cassert>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,11 +14,32 @@
 
 namespace i2a::graph {
 
+/// One directed edge src → dst with its weight: 16 B, no padding. The
+/// edge list is the largest object a construction or an ingest keeps,
+/// so the endpoints are 32-bit `vertex_type`, as a run's column ids are
+/// `Dcsr::col_type`; every reader widens them to `index_t`. An edge names
+/// at most vertex 2^31 − 1 (`kMaxVertex`): a `Graph` may have more, but
+/// those are isolated. Nothing narrows unchecked: `add_edge`, the
+/// generators and WAL replay each range-check first. Signed, so that an
+/// edge built with a negative endpoint, as in `Edge{-1, 0, 1.0}`, keeps
+/// it, and ingest refuses it as any endpoint outside [0, n).
 struct Edge {
-  index_t src;
-  index_t dst;
+  using vertex_type = std::int32_t;
+  /// The largest endpoint an edge stores: 2^31 − 1.
+  static constexpr index_t kMaxVertex =
+      std::numeric_limits<vertex_type>::max();
+
+  vertex_type src;
+  vertex_type dst;
   double weight = 1.0;
 };
+
+/// Whether `v` is a vertex of a graph on `n` vertices that an `Edge` can
+/// store: in [0, n) and at most `Edge::kMaxVertex`. Every writer checks
+/// it before it narrows an endpoint.
+inline bool storable_vertex(index_t v, index_t n) {
+  return v >= 0 && v < n && v <= Edge::kMaxVertex;
+}
 
 class Graph {
  public:
@@ -31,10 +53,16 @@ class Graph {
   index_t num_vertices() const { return num_vertices_; }
   index_t num_edges() const { return static_cast<index_t>(edges_.size()); }
 
+  /// Throws `std::out_of_range` for an endpoint outside [0, n) or above
+  /// `Edge::kMaxVertex`, before anything is narrowed.
   void add_edge(index_t src, index_t dst, double weight = 1.0) {
-    assert(src >= 0 && src < num_vertices_);
-    assert(dst >= 0 && dst < num_vertices_);
-    edges_.push_back(Edge{src, dst, weight});
+    if (!storable_vertex(src, num_vertices_) ||
+        !storable_vertex(dst, num_vertices_)) {
+      throw std::out_of_range("graph::Graph::add_edge: endpoint outside "
+                              "[0, n) or above 2^31 - 1");
+    }
+    edges_.push_back(Edge{static_cast<Edge::vertex_type>(src),
+                          static_cast<Edge::vertex_type>(dst), weight});
   }
 
   std::vector<Edge>& edges() { return edges_; }

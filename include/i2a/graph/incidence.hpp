@@ -48,7 +48,7 @@ struct IncidencePair {
 /// `draw(edge_index, is_out)` must return a value that is nonzero in the
 /// intended algebra (the theorem's hypothesis on incidence arrays).
 /// Throws `std::out_of_range` when an edge names an endpoint outside
-/// [0, |V|) (`Graph::add_edge` only asserts, and `edges()` is writable).
+/// [0, |V|) (`edges()` is writable past `Graph::add_edge`'s check).
 /// With a multi-thread `pool`, edge chunks fill their slots concurrently,
 /// so `draw` must then be safe to call concurrently for distinct edges
 /// (pure draws — constants, weight lookups — qualify; a shared stateful

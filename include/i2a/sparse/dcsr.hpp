@@ -29,7 +29,10 @@
 /// The 32-bit ids cap `ncols` at 2^32 (`kMaxCols`; `compress` throws
 /// above it). That removes no working capability from the streaming
 /// builders, whose runs are n × n: staging a batch already allocates a
-/// dense n + 1 `index_t` row pointer, 32 GiB at n = 2^32.
+/// dense n + 1 `index_t` row pointer, 32 GiB at n = 2^32. Their edges
+/// are narrower still: `graph::Edge` stores 32-bit signed endpoints, so
+/// an ingested edge names a vertex of at most 2^31 − 1, and in a builder
+/// over more vertices the ones above that stay isolated.
 
 #include <algorithm>
 #include <cassert>

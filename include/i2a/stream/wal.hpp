@@ -491,18 +491,20 @@ WalReplayStats replay_wal(const std::string& dir,
         }
         edges.reserve(count);
         const auto n = static_cast<index_t>(expected.num_vertices);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          graph::Edge e;
-          e.src = static_cast<index_t>(r.i64());
-          e.dst = static_cast<index_t>(r.i64());
-          e.weight = r.f64();
-          // A frame can pass its CRC and still name a vertex the
-          // manifest does not have; that is corrupt state, not an
-          // ingest-time argument error.
-          if (e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n) {
+        // A frame can pass its CRC and still name a vertex the manifest
+        // does not have, or one above the 32-bit edge ids; that is
+        // corrupt state, not an ingest-time argument error. Checked on
+        // the frame's i64 before it is narrowed, so no id aliases.
+        const auto endpoint = [&](std::int64_t v) {
+          if (!graph::storable_vertex(v, n)) {
             throw corrupt("batch edge endpoint out of range");
           }
-          edges.push_back(e);
+          return static_cast<graph::Edge::vertex_type>(v);
+        };
+        for (std::uint64_t i = 0; i < count; ++i) {
+          const graph::Edge::vertex_type src = endpoint(r.i64());
+          const graph::Edge::vertex_type dst = endpoint(r.i64());
+          edges.push_back(graph::Edge{src, dst, r.f64()});
         }
       } catch (const util::IoError&) {
         throw corrupt("malformed batch payload");

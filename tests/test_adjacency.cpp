@@ -1,8 +1,9 @@
 /// \file test_adjacency.cpp
 /// \brief is_adjacency_of on hand-built graphs with self-loops and
 ///        parallel edges, the incidence→adjacency construction, the
-///        reverse-graph corollary, and the rejection of out-of-range
-///        edge endpoints.
+///        reverse-graph corollary, the rejection of out-of-range
+///        edge endpoints, and `add_edge`'s range check before it narrows
+///        an endpoint to the 32-bit edge ids.
 
 #include <stdexcept>
 
@@ -132,9 +133,9 @@ void test_weighted_incidence() {
 }
 
 void test_out_of_range_endpoints_throw() {
-  // `edges()` is writable and `add_edge` only asserts, so an endpoint
-  // outside [0, n) can reach incidence assembly in a Release build; it
-  // must be rejected there, before any product indexes by it.
+  // `edges()` is writable past `add_edge`'s check, so an endpoint
+  // outside [0, n) can reach incidence assembly; it must be rejected
+  // there, before any product indexes by it.
   const algebra::PlusTimes<double> p;
   util::ThreadPool pool(4);
   const graph::Edge bad_edges[] = {{0, 4, 1.0}, {4, 0, 1.0}, {-1, 2, 1.0},
@@ -168,6 +169,40 @@ void test_negative_vertex_count_throws() {
   CHECK(threw);
 }
 
+static_assert(sizeof(graph::Edge) == 16);
+
+/// An edge stores 32-bit endpoints, so `add_edge` refuses every endpoint
+/// it cannot store as it refuses one outside [0, n), in every build:
+/// narrowed unchecked, vertex 2^32 + 1 would become vertex 1. A graph
+/// may still have more than 2^31 vertices; the ones above 2^31 − 1 are
+/// isolated.
+void test_add_edge_refuses_ids_it_cannot_store() {
+  const index_t n = (index_t{1} << 32) + 2;
+  const index_t max_id = graph::Edge::kMaxVertex;
+  CHECK_EQ(max_id, (index_t{1} << 31) - 1);
+  graph::Graph g(n);
+  const auto refused = [&](index_t src, index_t dst) {
+    try {
+      g.add_edge(src, dst);
+    } catch (const std::out_of_range&) {
+      return true;
+    }
+    return false;
+  };
+  CHECK(refused((index_t{1} << 32) + 1, 0));
+  CHECK(refused(0, (index_t{1} << 32) + 1));
+  CHECK(refused(max_id + 1, 0));
+  CHECK(refused(0, max_id + 1));
+  CHECK(refused(-1, 0));
+  CHECK(refused(0, n));
+  CHECK_EQ(g.num_edges(), index_t{0});
+  CHECK(!refused(max_id, 1));
+  CHECK_EQ(g.num_edges(), index_t{1});
+  CHECK_EQ(index_t{g.edges()[0].src}, max_id);
+  CHECK_EQ(index_t{g.edges()[0].dst}, index_t{1});
+  CHECK_EQ(g.num_vertices(), n);
+}
+
 }  // namespace
 
 int main() {
@@ -178,5 +213,6 @@ int main() {
   test_weighted_incidence();
   test_out_of_range_endpoints_throw();
   test_negative_vertex_count_throws();
+  test_add_edge_refuses_ids_it_cannot_store();
   return TEST_MAIN_RESULT();
 }

@@ -176,10 +176,9 @@ void test_unit_cutoff_clamps() {
 /// at both walk widths (four-wide only where the CPU has AVX2), over
 /// scales, edge factors, seeds, quadrant probabilities and pool sizes.
 /// Up to 3 blocks of 4096 edges, every block is walked one-wide. Scale
-/// 13 x 8 is 64 blocks: groups of four in lanes, and at pool 3 chunks of
-/// 22/22/20 blocks, so groups plus 2-block tails. Scale 11 x 9 is 4.5
-/// blocks: one group and a partial block. At scale 18 x 8 the 48 MiB
-/// edge buffer passes `gen::detail::kPopulateMinBytes`, so the pool
+/// 13 x 8 is 64 blocks: 16 groups of four in lanes, and at pool 3 chunks
+/// of 6/6/4 whole groups. Scale 11 x 9 is 4.5 blocks: one group and a
+/// partial block. At scale 18 x 8 the 32 MiB edge buffer reaches `gen::detail::kPopulateMinBytes`, so the pool
 /// faults its pages in (`util::populate_pages`) before they are written.
 void test_rmat_matches_reference_walk() {
   util::ThreadPool pool2(2), pool3(3), pool8(8);
@@ -296,6 +295,47 @@ void test_rmat_rejects_bad_arguments() {
   CHECK_EQ(graph::gen::random_bipartite(8, 8, 0, 1).num_edges(), index_t{0});
 }
 
+/// An edge stores 32-bit endpoints, so a generator whose edges could
+/// name a vertex above 2^31 − 1 throws std::invalid_argument before it
+/// allocates the edge list, while one with no edges to emit still
+/// returns its isolated vertices. The largest storable id is accepted.
+void test_generators_refuse_ids_above_edge_range() {
+  const index_t past = (index_t{1} << 31) + 1;  // ids 0 .. 2^31
+  util::ThreadPool pool4(4);
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool4}) {
+    CHECK(throws_invalid_argument([&] {
+      (void)graph::gen::rmat(32, 1, 0.57, 0.19, 0.19, 1, pool);
+    }));
+    CHECK(throws_invalid_argument([&] {
+      (void)graph::gen::rmat(62, 1, 0.57, 0.19, 0.19, 1, pool);
+    }));
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::random_multigraph(past, 1, 1, pool); }));
+    CHECK(throws_invalid_argument([&] {
+      (void)graph::gen::random_bipartite(1, past - 1, 1, 1, pool);
+    }));
+    CHECK(throws_invalid_argument(
+        [&] { (void)graph::gen::erdos_renyi(past, 1e-30, 1, pool); }));
+
+    CHECK_EQ(graph::gen::rmat(32, 0, 0.57, 0.19, 0.19, 1, pool).num_vertices(),
+             index_t{1} << 32);
+    CHECK_EQ(graph::gen::random_multigraph(past, 0, 1, pool).num_vertices(),
+             past);
+    const auto top = graph::gen::random_multigraph(past - 1, 64, 1, pool);
+    CHECK_EQ(top.num_edges(), index_t{64});
+    for (const graph::Edge& e : top.edges()) {
+      CHECK(e.src >= 0 && e.dst >= 0);
+    }
+    const auto right = graph::gen::random_bipartite(1, past - 2, 4, 1, pool);
+    CHECK_EQ(right.num_edges(), index_t{4});
+    for (const graph::Edge& e : right.edges()) {
+      CHECK_EQ(e.src, 0);
+      CHECK(e.dst >= 1);
+    }
+  }
+}
+
 /// A NaN probability passes both of the Bernoulli sampler's range tests
 /// (p <= 0, p >= 1), so it is rejected outright by the sampler and by
 /// `erdos_renyi`, the generator that reaches it — before either looks
@@ -351,6 +391,7 @@ int main() {
   test_rmat_matches_reference_walk();
   test_rmat_rejects_bad_arguments();
   test_bernoulli_rejects_nan_p();
+  test_generators_refuse_ids_above_edge_range();
   test_incidence_and_end_to_end_pool_size_invariance();
   return TEST_MAIN_RESULT();
 }

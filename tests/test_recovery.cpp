@@ -31,14 +31,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -671,6 +674,107 @@ void test_recover_refuses_out_of_range_endpoint() {
     }
     CHECK(typed);
   }
+}
+
+/// A manifest with more vertices than an edge can name: ids 2^31 − 1
+/// (`graph::Edge::kMaxVertex`) and below are storable, 2^31 .. n − 1 are
+/// not. Only `replay_wal` is called at this n: a builder would allocate a
+/// 16 GiB row pointer.
+constexpr std::uint64_t kPastEdgeIds = (std::uint64_t{1} << 31) + 8;
+
+/// Replay a WAL holding one CRC-valid batch frame with the edge
+/// (src, dst), written by hand because a `graph::Edge` cannot hold every
+/// id the frame's i64 fields can. True when replay refuses it with
+/// RecoveryError; otherwise the replayed edges go to `replayed`.
+bool replay_refuses_endpoint(std::int64_t src, std::int64_t dst,
+                             std::vector<graph::Edge>& replayed) {
+  TempDir td;
+  const stream::WalManifest manifest{"test/8", kPastEdgeIds, 1, 0};
+  stream::Wal(td.path, manifest, Durability::kFsyncEachBatch,
+              /*segment_bytes=*/1 << 20, /*seqno=*/0, /*start_epoch=*/0)
+      .close();
+  util::ByteWriter w;
+  w.u32(stream::kFrameBatch);
+  w.u64(1);  // epoch
+  w.u64(1);  // edge count
+  w.i64(src);
+  w.i64(dst);
+  w.f64(1.0);
+  util::File f = util::File::create_append(
+      td.path + "/" + stream::wal_segment_name(0));
+  util::write_frame(f, w.buffer());
+  f.close();
+  try {
+    (void)stream::replay_wal(
+        td.path, manifest, 0,
+        [&](std::uint64_t, const std::vector<graph::Edge>& edges) {
+          replayed = edges;
+        });
+  } catch (const RecoveryError&) {
+    return true;
+  }
+  return false;
+}
+
+/// An endpoint below the manifest's n but above 2^31 − 1 is corrupt
+/// durable state: replay checks the frame's i64 against n and the edge id
+/// range before it narrows, and refuses it with RecoveryError. Narrowed
+/// first, 2^32 + 1 would alias vertex 1 and pass the n check.
+void test_replay_refuses_endpoint_above_edge_ids() {
+  const std::int64_t max_id = graph::Edge::kMaxVertex;
+  for (const std::int64_t bad :
+       {max_id + 1, static_cast<std::int64_t>(kPastEdgeIds) - 1,
+        (std::int64_t{1} << 32) + 1}) {
+    std::vector<graph::Edge> replayed;
+    CHECK(replay_refuses_endpoint(bad, 0, replayed));
+    CHECK(replay_refuses_endpoint(0, bad, replayed));
+    CHECK(replayed.empty());
+  }
+  std::vector<graph::Edge> replayed;
+  CHECK(!replay_refuses_endpoint(max_id, 1, replayed));
+  CHECK_EQ(replayed.size(), 1u);
+  CHECK_EQ(std::int64_t{replayed[0].src}, max_id);
+  CHECK_EQ(std::int64_t{replayed[0].dst}, std::int64_t{1});
+}
+
+/// Batch frames carry 64-bit endpoints whatever `graph::Edge` stores: one
+/// fixed 3-edge batch frame, byte for byte, 24 B per edge.
+void test_batch_frame_bytes_are_pinned() {
+  TempDir td;
+  const stream::WalManifest manifest{"test/8", kPastEdgeIds, 1, 0};
+  {
+    stream::Wal wal(td.path, manifest, Durability::kFsyncEachBatch,
+                    /*segment_bytes=*/1 << 20, /*seqno=*/0,
+                    /*start_epoch=*/0);
+    const std::vector<graph::Edge> batch = {
+        {3, 5, 1.5}, {2147483647, 0, -2.0}, {7, 7, 0.25}};
+    wal.append(1, std::span<const graph::Edge>(batch.data(), batch.size()));
+    wal.close();
+  }
+  const std::vector<unsigned char> want = {
+      // u32 payload length 92, u32 CRC32C of the payload
+      0x5c, 0x00, 0x00, 0x00, 0xa5, 0x39, 0x1d, 0x4c,
+      // u32 kFrameBatch, u64 epoch 1, u64 edge count 3
+      0x02, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // i64 3, i64 5, f64 1.5
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,
+      // i64 2^31 - 1, i64 0, f64 -2.0
+      0xff, 0xff, 0xff, 0x7f, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0,
+      // i64 7, i64 7, f64 0.25
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f};
+  CHECK_EQ(want.size(), 8u + 4u + 8u + 8u + 3u * 24u);
+  const auto image =
+      util::read_file(td.path + "/" + stream::wal_segment_name(0));
+  CHECK(image.size() > want.size());
+  CHECK(std::equal(want.begin(), want.end(), image.end() - std::ssize(want)));
 }
 
 /// A CRC-valid checkpoint run that is not a canonical CSR (row pointer
@@ -1671,6 +1775,8 @@ int main(int argc, char** argv) {
   test_builder_refuses_more_than_2_32_vertices();
   test_single_builder_is_one_shard();
   test_recover_refuses_out_of_range_endpoint();
+  test_replay_refuses_endpoint_above_edge_ids();
+  test_batch_frame_bytes_are_pinned();
   test_checkpoint_rejects_non_canonical_run();
   test_corruption_truncation_matrix();
   test_corruption_sealed_segment_is_refused();

@@ -358,7 +358,7 @@ void test_builder_destroyed_with_task_in_flight() {
   {
     stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(
         8, {}, background_opts(&pool));
-    for (index_t i = 0; i < 6; ++i) {
+    for (graph::Edge::vertex_type i = 0; i < 6; ++i) {
       builder.ingest(std::vector<graph::Edge>{{i % 7, i % 7 + 1, 1.0}});
     }
   }  // builder destroyed, tasks possibly queued or running
